@@ -31,7 +31,7 @@ from .scalars import SYMBOLIC, q_bracket, q_int_bracket
 def _report(check, params, result, expected, ok, t0):
     return {"check": check, "params": params, "result": result,
             "expected": expected, "pass": bool(ok),
-            "elapsed_ms": int((time.time() - t0) * 1000)}
+            "elapsed_ms": int((time.perf_counter() - t0) * 1000)}
 
 
 def _rng(seed, name):
@@ -43,7 +43,7 @@ def _rng(seed, name):
 def check_confluence(seed=42, trials=1000, maxlen=8, field=SYMBOLIC):
     """Random words reduce to strategy-independent normal forms, and
     z-1*z1 - q^2*z1*z-1 normal-forms to zero."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = _rng(seed, "confluence")
     mismatches = {}
     for alg_id in (QSL2, PODLES, LAURENT, SMASH_Z2):
@@ -72,7 +72,7 @@ def check_confluence(seed=42, trials=1000, maxlen=8, field=SYMBOLIC):
 
 def check_koszul_exactness(levels=(2, 6, 10), field=SYMBOLIC):
     """d1 o d2 = 0 symbolically and vanishing truncated homology defects."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     sym = koszul.koszul_d2_d1_zero(6, field)
     defects = {}
     for N in levels:
@@ -88,7 +88,7 @@ def check_koszul_exactness(levels=(2, 6, 10), field=SYMBOLIC):
 
 def check_ext_concentration(N=8, field=SYMBOLIC):
     """Truncated Ext of the counit module: dims (0, 0, 1), character 0."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     r = koszul.ext_counit_module(N, field)
     char = {k: field.render(v) for k, v in r["character"].items()}
     result = {"dims": list(r["dims"]), "character": char}
@@ -101,7 +101,7 @@ def check_ext_concentration(N=8, field=SYMBOLIC):
 def check_nu_closed_forms(maxtotal=10, bracket_max=6, field=SYMBOLIC):
     """nu_reduce against the closed forms and the independent oracle, and
     the bracket coefficient pinned by the oracle."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     B = get_algebra(PODLES, field)
     ym1_failures = []
     oracle_failures = []
@@ -149,7 +149,7 @@ def check_zeta_injectivity(jmax=8, field=SYMBOLIC):
     determinant 0) and this check reports them honestly as failed; the
     actual values and the certifying nonzero determinant are included.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     ranks_ok = True
     details = {}
     pattern_ok = True
@@ -181,7 +181,7 @@ def check_zeta_injectivity(jmax=8, field=SYMBOLIC):
 def check_h0_grid(imax=6, jmax=3, field=SYMBOLIC):
     """Twisted-center dimensions and representatives over the full grid,
     including the j = 0 slice (nonzero only at i = 0)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     A = get_algebra(QSL2, field)
     grid = {}
     ok = True
@@ -228,7 +228,7 @@ def _identity_window(rng, degree, field):
 def check_conjugation_law(seed=42, trials=100, field=SYMBOLIC):
     """b o xi = xi o d on seeded random BxA-valued cochains of degree <= 2
     and support filtration <= 3."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = _rng(seed, "conjugation")
     M = hochschild.Bimodule("BxA", field)
     failures = 0
@@ -248,7 +248,7 @@ def check_conjugation_law(seed=42, trials=100, field=SYMBOLIC):
 def check_character_action(seed=42, trials=50, field=SYMBOLIC):
     """b(X phi) = X(b phi) for seeded random characters and cochains of
     degree <= 1 with support filtration <= 3."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = _rng(seed, "character")
     M = hochschild.Bimodule("BxA", field)
     failures = 0
@@ -272,7 +272,7 @@ def check_sigma(N=8, membership_len=5, field=SYMBOLIC):
     """sigma scales the basis ray e_{ij} by q^(-2j) (i + |j| <= N), the
     explicit left inverse undoes it, sigma preserves the defining
     relations, and S^(+-2) keeps sphere monomials in the sphere."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     B = get_algebra(PODLES, field)
     inv = duality.sigma_inverse_check(N, field)
     # relation preservation: apply sigma to both sides of each relation
@@ -308,7 +308,7 @@ def check_sigma(N=8, membership_len=5, field=SYMBOLIC):
 def check_convolution_transes(maxlen=5, seed=42, field=SYMBOLIC):
     """(chi * gamma) = counit on sphere basis monomials, and the averaging
     map beta is an idempotent right-linear projection onto the sphere."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = _rng(seed, "transes")
     A = get_algebra(QSL2, field)
     B = get_algebra(PODLES, field)
@@ -339,7 +339,7 @@ def check_convolution_transes(maxlen=5, seed=42, field=SYMBOLIC):
 def check_omega_products(N=4, field=SYMBOLIC):
     """Zero membership failures among all pairwise products of truncated
     omega bases for weights in {-1,0,1} and twists in {0,1}."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = {}
     total = 0
     for n in (-1, 0, 1):

@@ -25,11 +25,19 @@ _ALG_NAMES = {"qsl2": QSL2, "podles": PODLES, "laurent": LAURENT,
               "smash": SMASH_Z2}
 
 
-def _env_default(name, cast, fallback):
+def _env_default(name, cast, fallback, choices=None):
     raw = os.environ.get(f"QSPHERE_{name}")
     if raw is None:
         return fallback
-    return cast(raw)
+    try:
+        value = cast(raw)
+    except ValueError:
+        raise ValueError(f"QSPHERE_{name}={raw!r} is not a valid "
+                         f"{cast.__name__}") from None
+    if choices is not None and value not in choices:
+        raise ValueError(f"QSPHERE_{name}={raw!r} is not one of "
+                         f"{', '.join(choices)}")
+    return value
 
 
 def build_parser():
@@ -43,8 +51,9 @@ def build_parser():
                    default=_env_default("SEED", int, 42))
     p.add_argument("--trials", type=int,
                    default=_env_default("TRIALS", int, None))
-    p.add_argument("--format", choices=("json", "csv", "text"),
-                   default=_env_default("FORMAT", str, "json"))
+    formats = ("json", "csv", "text")
+    p.add_argument("--format", choices=formats,
+                   default=_env_default("FORMAT", str, "json", formats))
     p.add_argument("--out", default=_env_default("OUT", str, None),
                    help="write the report to this path instead of stdout")
     p.add_argument("--no-timing", action="store_true",
@@ -306,10 +315,10 @@ def run(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return run(args)
+        # QSPHERE_* defaults are read while the parser is built, so a bad
+        # value is a usage error like a bad flag
+        return run(build_parser().parse_args(argv))
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

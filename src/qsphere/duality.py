@@ -134,8 +134,13 @@ class Functional:
     kinds: 'counit'; 'char_A' (the torus characters a -> t, d -> 1/t of the
     coordinate ring); 'char_B' (a character of the sphere given by its
     values on (y-1, y0, y1)); 'sparse' (explicit values on basis words,
-    zero elsewhere); 'conv' (convolution product phi * psi, evaluated
-    through the coproduct).
+    zero elsewhere); 'gamma' (x |-> chi(beta(S^-1(x))) on the coordinate
+    ring); 'conv' (convolution product phi * psi, evaluated through the
+    coproduct).
+
+    A 'gamma' functional memoises its value on each basis word in `table`,
+    computed once by gamma_functional on first use, so the memo lives and
+    dies with the object; __call__ extends the values linearly.
     """
 
     def __init__(self, kind, alg_id, field=SYMBOLIC, *, t=None, values=None,
@@ -209,8 +214,11 @@ class Functional:
         if self.kind == "gamma":
             if alg_id != QSL2:
                 raise ValueError("gamma is a functional on QSL2")
-            A = get_algebra(QSL2, field)
-            return gamma_functional(A.monomial(w), self.values)
+            v = self.table.get(w)
+            if v is None:
+                A = get_algebra(QSL2, field)
+                v = self.table[w] = gamma_functional(A.monomial(w), self.values)
+            return v
         if self.kind == "conv":
             return _conv_word(self, alg_id, w)
         raise ValueError(f"unknown functional kind {self.kind}")
@@ -335,7 +343,7 @@ def sigma_inverse_check(N, field=SYMBOLIC):
     if N < 1:
         raise ValueError("sigma_inverse_check needs N >= 1")
     B = get_algebra(PODLES, field)
-    A = get_algebra(QSL2, field)
+    gamma = Functional.gamma(None, field)
     ray_failures = []
     roundtrip_failures = []
     for mono in filtration_basis(B, N):
@@ -345,7 +353,7 @@ def sigma_inverse_check(N, field=SYMBOLIC):
         i, j = podles_index(mono.word)
         if s != e.scale(field.q_power(-2 * j)):
             ray_failures.append(B.render_word(mono.word))
-        back = sigma_inverse_apply(embed_podles(s))
+        back = sigma_inverse_apply(embed_podles(s), gamma)
         if back != e:
             roundtrip_failures.append(B.render_word(mono.word))
     return {"N": N, "ray_failures": ray_failures,
@@ -353,16 +361,23 @@ def sigma_inverse_check(N, field=SYMBOLIC):
             "pass": not ray_failures and not roundtrip_failures}
 
 
-def sigma_inverse_apply(x, chi=None):
-    """gamma(S^-2(x_(1))) S^-2(x_(2)) expressed back in the sphere."""
+def sigma_inverse_apply(x, gamma=None):
+    """gamma(S^-2(x_(1))) S^-2(x_(2)) expressed back in the sphere.
+
+    gamma is a Functional.gamma over x's field (default: built from the
+    counit).  Its per-word memo is shared by every call that passes the
+    same object, so a sweep computes gamma once per basis word.
+    """
     if x.alg.id != QSL2:
         raise ValueError("sigma_inverse_apply expects a QSL2 element")
     A = x.alg
     field = A.field
+    if gamma is None:
+        gamma = Functional.gamma(None, field)
     acc = A.zero()
     for w, c in x.terms.items():
         for (lw, rw), cc in _cop_word(A, w).items():
-            g = gamma_functional(antipode(A.monomial(lw), -2), chi)
+            g = gamma(antipode(A.monomial(lw), -2))
             if field.is_zero(g):
                 continue
             acc = acc + antipode(A.monomial(rw), -2).scale(c * cc * g)

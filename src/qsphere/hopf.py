@@ -156,18 +156,42 @@ def coproduct(p):
 
 
 def _cop_word(alg, w):
+    """Delta(w) of a normal word as a dict {(left word, right word): coeff}
+    (cached per algebra and word).
+
+    Delta(w) = Delta(w[:-1]) * Delta(w[-1]): every term of the cached prefix
+    coproduct is multiplied, leg by leg through mul_words, by each Sweedler
+    term of the last generator (prefix term outer, generator term inner),
+    and multiplications by the field's one are skipped.
+    """
     key = (id(alg), w)
     hit = _COP_CACHE.get(key)
     if hit is not None:
         return hit
+    field = alg.field
+    one = field.one
     if not w:
-        res = {((), ()): alg.field.one}
+        res = {((), ()): one}
     else:
-        head = _cop_word(alg, w[:-1])
+        zero = field.is_zero
+        mul = alg.mul_words
         gen = _COP_GEN[alg.id][w[-1]]
-        t = Tensor(alg, alg, dict(head))
-        g = Tensor(alg, alg, {pair: alg.field.one for pair in gen})
-        res = (t * g).terms
+        res = {}
+        for (l1, r1), c1 in _cop_word(alg, w[:-1]).items():
+            for l2, r2 in gen:
+                right = mul(r1, r2).items()
+                for lw, cl in mul(l1, l2).items():
+                    c = c1 if cl is one else c1 * cl
+                    for rw, cr in right:
+                        v = c if cr is one else c * cr
+                        k = (lw, rw)
+                        acc = res.get(k)
+                        if acc is not None:
+                            v = acc + v
+                            if zero(v):
+                                del res[k]
+                                continue
+                        res[k] = v
     _COP_CACHE[key] = res
     return res
 

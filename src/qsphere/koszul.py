@@ -135,7 +135,7 @@ _NU_CACHE = {}
 
 def _nu_echelon(field, L):
     """Echelon of B*z-1 within filtration L, pivoted on reducible words."""
-    key = (id(field), L)
+    key = (field, L)
     hit = _NU_CACHE.get(key)
     if hit is not None:
         return hit
@@ -404,17 +404,21 @@ def ext_counit_module(N, field=SYMBOLIC):
     d2 = len(basis_N) - inside
 
     # the class of 1 spans degree 2; right multiplication by the generators
-    # gives the character
+    # gives the character, read off one coordinate of the residue of 1 and
+    # checked against all of them
     character = {}
     one_rem = ideal.reduce({(): field.one})
-    assert one_rem, "class of 1 vanished in the truncated cokernel"
+    if not one_rem:
+        raise AssertionError("class of 1 vanished in the truncated cokernel")
+    piv = next(iter(one_rem))
     for g in ("y-1", "y0", "y1"):
         rem = ideal.reduce(B.gen(g).terms)
-        # rem must be a multiple of the residue of 1
-        if not rem:
-            character[g] = field.zero
-        else:
-            piv = next(iter(one_rem))
-            character[g] = rem.get(piv, field.zero) / one_rem[piv]
+        ratio = rem.get(piv, field.zero) / one_rem[piv] if rem else field.zero
+        scaled = ({} if field.is_zero(ratio)
+                  else {w: ratio * c for w, c in one_rem.items()})
+        if rem != scaled:
+            raise AssertionError(f"the residue of {g} is not a multiple of "
+                                 "the residue of 1")
+        character[g] = ratio
     return {"N": N, "dims": (d0, d1, d2), "character": character,
             "stable": N >= 4}

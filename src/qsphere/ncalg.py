@@ -324,8 +324,9 @@ _ALGEBRAS = {}
 
 
 def get_algebra(alg_id, field=SYMBOLIC):
-    """The preset algebra bound to a coefficient field (cached)."""
-    key = (alg_id, id(field))
+    """The preset algebra bound to a coefficient field (cached per field
+    value, so equal fields share one preset and their elements mix)."""
+    key = (alg_id, field)
     alg = _ALGEBRAS.get(key)
     if alg is None:
         alg = _build(alg_id, field)

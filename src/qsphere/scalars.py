@@ -584,6 +584,12 @@ class NumericField:
     def render(x):
         return str(x)
 
+    def __eq__(self, other):
+        return isinstance(other, NumericField) and self.q0 == other.q0
+
+    def __hash__(self):
+        return hash(self.q0)
+
     def __repr__(self):
         return f"NumericField({self.q0})"
 

@@ -93,6 +93,16 @@ def test_env_override(monkeypatch, capsys):
     assert json.loads(out)["params"]["N"] == 3
 
 
+def test_malformed_env_values_are_usage_errors(monkeypatch, capsys):
+    for name, raw in (("SEED", "abc"), ("TRIALS", "x"), ("N", "1.5"),
+                      ("FORMAT", "xml")):
+        monkeypatch.setenv(f"QSPHERE_{name}", raw)
+        code, out, err = run_cli(capsys, "nf", "y0")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and f"QSPHERE_{name}" in err
+        monkeypatch.delenv(f"QSPHERE_{name}")
+
+
 def test_verify_all_reports_and_exit(capsys):
     # small trial counts; the zeta pattern check stays red by design, so
     # the suite exit code is 1 and every other check passes

@@ -1,13 +1,21 @@
 import random
+from fractions import Fraction
 
+import pytest
+
+from qsphere import duality
 from qsphere.duality import (Functional, OmegaModule, beta_projection,
                              convolution, gamma_functional, omega_basis,
                              omega_membership, omega_product_check,
-                             sigma_inverse_check, transes_check)
-from qsphere.hochschild import h0_twisted_center
+                             sigma_inverse_apply, sigma_inverse_check,
+                             transes_check)
+from qsphere.hochschild import h0_twisted_center, sigma_map
 from qsphere.ncalg import (PODLES, QSL2, embed_podles, filtration_basis,
                            get_algebra, qsl2_word)
-from qsphere.scalars import ONE, Q, SYMBOLIC, ZERO
+from qsphere.scalars import ONE, Q, SYMBOLIC, ZERO, NumericField
+
+FIELDS = pytest.mark.parametrize(
+    "field", [SYMBOLIC, NumericField(Fraction(3, 2))], ids=["symbolic", "q=3/2"])
 
 A = get_algebra(QSL2)
 B = get_algebra(PODLES)
@@ -126,6 +134,33 @@ def test_transes_with_nontrivial_character():
 def test_sigma_inverse_roundtrip():
     r = sigma_inverse_check(4)
     assert r["pass"], r
+
+
+@FIELDS
+def test_gamma_memo_matches_gamma_functional(field, monkeypatch):
+    Af = get_algebra(QSL2, field)
+    gamma = Functional.gamma(None, field)
+    words = [m.word for m in filtration_basis(Af, 4)]
+    for w in words:
+        assert gamma(Af.monomial(w)) == gamma_functional(Af.monomial(w)), w
+    assert set(gamma.table) == set(words)
+    x = (Af.gen("a") * Af.gen("d")).scale(field.from_int(3)) \
+        - (Af.gen("b") * Af.gen("c")).scale(field.q_power(2)) + Af.one()
+    want = gamma_functional(x)
+    # every word of x is memoised: evaluating it computes no new gamma value
+    monkeypatch.setattr(duality, "gamma_functional", None)
+    assert gamma(x) == want
+    assert len(gamma.table) == len(words)
+
+
+@FIELDS
+def test_sigma_inverse_check_both_fields(field):
+    assert sigma_inverse_check(3, field) == {
+        "N": 3, "ray_failures": [], "roundtrip_failures": [], "pass": True}
+    # without a gamma argument, sigma_inverse_apply builds its own
+    Bf = get_algebra(PODLES, field)
+    e = Bf.gen("y0") * Bf.gen("y-1")
+    assert sigma_inverse_apply(embed_podles(sigma_map(e))) == e
 
 
 def test_final_identification_slice():

@@ -1,13 +1,15 @@
+from fractions import Fraction
+
 import pytest
 
 from qsphere.hopf import (Tensor, antipode, b_coproduct, b_coproduct_grouped,
                           coideal_membership, coproduct, counit,
                           left_coaction, project_pi, rho, rho_check,
-                          _cop_word)
+                          _COP_GEN, _cop_word)
 from qsphere.ncalg import (LAURENT, PODLES, QSL2, SMASH_Z2, NCPoly,
                            embed_podles, filtration_basis, get_algebra,
                            podles_index, qsl2_word)
-from qsphere.scalars import ONE, Q, SYMBOLIC, ZERO
+from qsphere.scalars import ONE, Q, SYMBOLIC, ZERO, NumericField
 
 A = get_algebra(QSL2)
 B = get_algebra(PODLES)
@@ -36,6 +38,28 @@ def test_coproduct_y_minus_one_expansion():
             + Tensor.of(A.one() + (A.gen("b") * A.gen("c")).scale(Q ** -1), ca)
             + Tensor.of((A.gen("b") * A.gen("d")).scale(Q ** -1), A.gen("c") ** 2))
     assert coproduct(B.gen("y-1")) == want
+
+
+def _cop_word_by_tensors(alg, w):
+    """Delta(w) as the letter-by-letter Tensor product of the generator
+    coproducts."""
+    one = alg.field.one
+    out = Tensor(alg, alg, {((), ()): one})
+    for g in w:
+        out = out * Tensor(alg, alg, {pair: one for pair in _COP_GEN[alg.id][g]})
+    return out.terms
+
+
+@pytest.mark.parametrize("field", [SYMBOLIC, NumericField(Fraction(3, 2))],
+                         ids=["symbolic", "q=3/2"])
+def test_cop_word_matches_tensor_products(field):
+    # same values and the same dict order on every basis word up to length 6
+    for alg_id in (QSL2, LAURENT, SMASH_Z2):
+        alg = get_algebra(alg_id, field)
+        for m in filtration_basis(alg, 6):
+            want = _cop_word_by_tensors(alg, m.word)
+            assert list(_cop_word(alg, m.word).items()) == list(want.items()), \
+                (alg_id, m.word)
 
 
 def test_counit():

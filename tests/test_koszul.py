@@ -128,6 +128,25 @@ def test_ext_concentration_and_character():
     assert lhs == B.gen("y0")
 
 
+def test_ext_rejects_a_residue_off_the_line_of_one(monkeypatch, capsys):
+    from qsphere import linalg
+    from qsphere.cli import main
+    reduce = linalg.Echelon.reduce
+    y0 = B.gen("y0").terms
+
+    def skewed(self, vec):
+        rem = reduce(self, vec)
+        if vec == y0:
+            rem[podles_word(9, 0)] = ONE
+        return rem
+
+    monkeypatch.setattr(linalg.Echelon, "reduce", skewed)
+    with pytest.raises(AssertionError, match="residue of y0"):
+        ext_counit_module(3)
+    assert main(["ext", "--N", "3"]) == 3
+    assert "internal error" in capsys.readouterr().err
+
+
 def test_right_ideal_not_homogeneous():
     rng = random.Random(13)
     zm1 = B.gen("y-1") + B.gen("y0")

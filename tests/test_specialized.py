@@ -50,3 +50,12 @@ def test_checks_agree_across_modes():
         sym = checks.CHECKS[name](field=SYMBOLIC, **kwargs)
         num = checks.CHECKS[name](field=NUM, **kwargs)
         assert sym["pass"] == num["pass"] is True, name
+
+
+def test_equal_numeric_fields_share_presets():
+    other = NumericField("3/2")
+    assert other == NUM and hash(other) == hash(NUM)
+    assert NUM != NumericField(2) and NUM != SYMBOLIC
+    B1, B2 = get_algebra(PODLES, NUM), get_algebra(PODLES, other)
+    assert B1 is B2
+    assert B1.gen("y0") + B2.gen("y1") == parse_expr("y0 + y1", B1)

@@ -38,11 +38,17 @@ def _rng(seed, name):
     return random.Random(f"{seed}:{name}")
 
 
+def _check_trials(trials):
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
 # ---------------------------------------------------------------------------
 
 def check_confluence(seed=42, trials=1000, maxlen=8, field=SYMBOLIC):
     """Random words reduce to strategy-independent normal forms, and
     z-1*z1 - q^2*z1*z-1 normal-forms to zero."""
+    _check_trials(trials)
     t0 = time.perf_counter()
     rng = _rng(seed, "confluence")
     mismatches = {}
@@ -181,6 +187,8 @@ def check_zeta_injectivity(jmax=8, field=SYMBOLIC):
 def check_h0_grid(imax=6, jmax=3, field=SYMBOLIC):
     """Twisted-center dimensions and representatives over the full grid,
     including the j = 0 slice (nonzero only at i = 0)."""
+    if imax < 0 or jmax < 0:
+        raise ValueError(f"imax and jmax must be >= 0, got {imax} and {jmax}")
     t0 = time.perf_counter()
     A = get_algebra(QSL2, field)
     grid = {}
@@ -228,6 +236,7 @@ def _identity_window(rng, degree, field):
 def check_conjugation_law(seed=42, trials=100, field=SYMBOLIC):
     """b o xi = xi o d on seeded random BxA-valued cochains of degree <= 2
     and support filtration <= 3."""
+    _check_trials(trials)
     t0 = time.perf_counter()
     rng = _rng(seed, "conjugation")
     M = hochschild.Bimodule("BxA", field)
@@ -248,6 +257,7 @@ def check_conjugation_law(seed=42, trials=100, field=SYMBOLIC):
 def check_character_action(seed=42, trials=50, field=SYMBOLIC):
     """b(X phi) = X(b phi) for seeded random characters and cochains of
     degree <= 1 with support filtration <= 3."""
+    _check_trials(trials)
     t0 = time.perf_counter()
     rng = _rng(seed, "character")
     M = hochschild.Bimodule("BxA", field)

@@ -91,7 +91,6 @@ def build_parser():
     s = sub.add_parser("h0-table", help="twisted-center dimension grid")
     s.add_argument("--imax", type=int, default=6)
     s.add_argument("--jmax", type=int, default=3)
-    s.add_argument("--N", type=int, default=_env_default("N", int, None))
 
     s = sub.add_parser("xi-check", help="conjugation law on random cochains")
     s.add_argument("--trials", type=int, default=None, dest="xi_trials")
@@ -128,7 +127,7 @@ def _field(args):
     return NumericField(Fraction(args.q))
 
 
-def _emit(args, payload, tensor_keys=()):
+def _emit(args, payload):
     reports = payload if isinstance(payload, list) else [payload]
     if args.no_timing:
         for r in reports:
@@ -165,17 +164,6 @@ def _emit(args, payload, tensor_keys=()):
         print(text)
 
 
-def _render_tensor(t):
-    parts = []
-    keyfn = lambda k: (t.left_alg.sort_key(k[0]), t.right_alg.sort_key(k[1]))
-    for lw, rw in sorted(t.terms, key=keyfn):
-        c = t.terms[(lw, rw)]
-        cs = t.left_alg.field.render(c)
-        body = f"{t.left_alg.render_word(lw)} (x) {t.right_alg.render_word(rw)}"
-        parts.append(body if cs == "1" else f"({cs}) * {body}")
-    return parts or ["0"]
-
-
 def _parse_chi(raw, field):
     if raw is None:
         return None
@@ -204,7 +192,7 @@ def run(args):
     if cmd == "delta":
         alg = get_algebra(_ALG_NAMES[args.algebra], field)
         t = coproduct(parse_expr(args.expr, alg))
-        _emit(args, {"result": _render_tensor(t)})
+        _emit(args, {"result": t.render_terms()})
         return 0
 
     if cmd == "antipode":
@@ -223,7 +211,7 @@ def run(args):
         p = parse_expr(args.expr, alg)
         member = coideal_membership(p)
         _emit(args, {"result": member,
-                     "coaction": _render_tensor(left_coaction(p))})
+                     "coaction": left_coaction(p).render_terms()})
         return 0
 
     if cmd == "koszul-verify":
@@ -257,7 +245,9 @@ def run(args):
         return 0 if rep["pass"] else 1
 
     if cmd == "xi-check":
-        trials = args.xi_trials or args.trials or 100
+        trials = args.xi_trials
+        if trials is None:
+            trials = 100 if args.trials is None else args.trials
         rep = checks.check_conjugation_law(seed=args.seed, trials=trials,
                                            field=field)
         _emit(args, rep)

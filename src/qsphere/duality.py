@@ -13,10 +13,12 @@ alone.
 from __future__ import annotations
 
 from .hopf import antipode, b_coproduct_grouped, coproduct, _cop_word, left_coaction
-from .linalg import Echelon
+from .hochschild import (CharacterFunctional, sigma_map,
+                         validate_character_b, weight_basis_words)
+from .linalg import Echelon, axpy
 from .ncalg import (LAURENT, PODLES, QSL2, Monomial, NCPoly, embed_podles,
                     express_in_podles, filtration_basis, get_algebra,
-                    laurent_word, qsl2_index, qsl2_word)
+                    laurent_word, podles_index)
 from .scalars import SYMBOLIC
 
 
@@ -46,15 +48,10 @@ def omega_basis(n, m, N, field=SYMBOLIC):
     if N < 0:
         raise ValueError("N must be >= 0")
     A = get_algebra(QSL2, field)
-    out = []
-    for l in range(-N, N + 1):
-        for mm in range(N - abs(l) + 1):
-            nn = l + mm - n
-            if 0 <= nn <= N - abs(l) - mm:
-                w = qsl2_word(l, mm, nn)
-                if not omega_membership(A.monomial(w), n, m):
-                    raise AssertionError("index arithmetic disagrees with coaction")
-                out.append(w)
+    out = weight_basis_words(n, N)
+    for w in out:
+        if not omega_membership(A.monomial(w), n, m):
+            raise AssertionError("index arithmetic disagrees with coaction")
     out.sort(key=A.sort_key)
     return [Monomial(QSL2, w) for w in out]
 
@@ -132,23 +129,22 @@ class Functional:
     """A linear functional on one preset algebra.
 
     kinds: 'counit'; 'char_A' (the torus characters a -> t, d -> 1/t of the
-    coordinate ring); 'char_B' (a character of the sphere given by its
-    values on (y-1, y0, y1)); 'sparse' (explicit values on basis words,
-    zero elsewhere); 'gamma' (x |-> chi(beta(S^-1(x))) on the coordinate
-    ring); 'conv' (convolution product phi * psi, evaluated through the
-    coproduct).
+    coordinate ring, evaluated by the CharacterFunctional in `values`);
+    'char_B' (a character of the sphere given by its values on (y-1, y0,
+    y1)); 'sparse' (explicit values on basis words, zero elsewhere);
+    'gamma' (x |-> chi(beta(S^-1(x))) on the coordinate ring); 'conv'
+    (convolution product phi * psi, evaluated through the coproduct).
 
     A 'gamma' functional memoises its value on each basis word in `table`,
     computed once by gamma_functional on first use, so the memo lives and
     dies with the object; __call__ extends the values linearly.
     """
 
-    def __init__(self, kind, alg_id, field=SYMBOLIC, *, t=None, values=None,
+    def __init__(self, kind, alg_id, field=SYMBOLIC, *, values=None,
                  table=None, parts=None):
         self.kind = kind
         self.alg_id = alg_id
         self.field = field
-        self.t = t
         self.values = values
         self.table = table or {}
         self.parts = parts
@@ -161,13 +157,11 @@ class Functional:
 
     @staticmethod
     def char_A(t, field=SYMBOLIC):
-        if field.is_zero(t):
-            raise ValueError("character parameter must be nonzero")
-        return Functional("char_A", QSL2, field, t=t)
+        return Functional("char_A", QSL2, field,
+                          values=CharacterFunctional(t, field))
 
     @staticmethod
     def char_B(vm, v0, vp, field=SYMBOLIC):
-        from .hochschild import validate_character_b
         validate_character_b((vm, v0, vp), field)
         return Functional("char_B", PODLES, field, values=(vm, v0, vp))
 
@@ -191,14 +185,10 @@ class Functional:
         if self.kind == "char_A":
             if alg_id != QSL2:
                 raise ValueError("char_A is a functional on QSL2")
-            l, m, n = qsl2_index(w)
-            if m or n:
-                return field.zero
-            return self.t ** l if l >= 0 else (field.one / self.t) ** (-l)
+            return self.values.on_word(w)
         if self.kind == "char_B":
             if alg_id != PODLES:
                 raise ValueError("char_B is a functional on PODLES")
-            from .ncalg import podles_index
             i, j = podles_index(w)
             vm, v0, vp = self.values
             out = field.one
@@ -289,17 +279,9 @@ def beta_projection(x):
     field = A.field
     acc = A.zero()
     for w, c in x.terms.items():
-        picked = {}
-        for (lw, rw), cc in _cop_word(A, w).items():
-            l, m, n = qsl2_index(lw)
-            if m == 0 and n == 0 and l == 0:
-                acc2 = picked.get(rw)
-                val = c * cc
-                acc2 = val if acc2 is None else acc2 + val
-                if field.is_zero(acc2):
-                    picked.pop(rw, None)
-                else:
-                    picked[rw] = acc2
+        # h(pi(x_(1))) picks the terms whose first leg is 1
+        picked = axpy({}, ((rw, cc) for (lw, rw), cc in _cop_word(A, w).items()
+                           if lw == ()), field.is_zero, c)
         acc = acc + NCPoly(A, picked)
     return express_in_podles(acc)
 
@@ -339,7 +321,6 @@ def sigma_inverse_check(N, field=SYMBOLIC):
 
     must undo sigma on every sphere basis monomial with i + |j| <= N, and
     sigma itself must scale the basis ray e_{ij} by q^(-2j)."""
-    from .hochschild import sigma_map
     if N < 1:
         raise ValueError("sigma_inverse_check needs N >= 1")
     B = get_algebra(PODLES, field)
@@ -349,7 +330,6 @@ def sigma_inverse_check(N, field=SYMBOLIC):
     for mono in filtration_basis(B, N):
         e = B.monomial(mono.word)
         s = sigma_map(e)
-        from .ncalg import podles_index
         i, j = podles_index(mono.word)
         if s != e.scale(field.q_power(-2 * j)):
             ray_failures.append(B.render_word(mono.word))

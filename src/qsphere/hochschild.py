@@ -18,10 +18,10 @@ from __future__ import annotations
 import itertools
 
 from .hopf import Tensor, antipode, b_coproduct_grouped, coproduct, _cop_word
-from .linalg import nullspace
+from .linalg import axpy, nullspace
 from .ncalg import (PODLES, QSL2, NCPoly, embed_podles, express_in_podles,
-                    filtration_basis, get_algebra, podles_index,
-                    qsl2_index, qsl2_word)
+                    filtration_basis, get_algebra, qsl2_index,
+                    qsl2_word)
 from .scalars import SYMBOLIC
 
 
@@ -192,23 +192,29 @@ def eval_multi(phi, slots):
     return out
 
 
+def _add_inner_faces(phi, ws, val):
+    """val + sum_{i=1..n} (-1)^i phi(b^1, ..., b^i b^(i+1), ..., b^(n+1)),
+    the faces both coboundaries share, added in order of i."""
+    M = phi.carrier
+    sign = 1
+    for i in range(1, phi.degree + 1):
+        sign = -sign
+        merged = M.B.mul_words(ws[i - 1], ws[i])
+        sub = eval_multi(phi, ws[:i - 1] + (merged,) + ws[i + 1:])
+        val = val + sub.scale(M.field.from_int(sign))
+    return val
+
+
 def hochschild_b(phi):
     """The standard Hochschild coboundary of phi (degree n -> n+1)."""
     n = phi.degree
     M = phi.carrier
-    mul = M.B.mul_words
 
     def fn(ws):
         val = M.left_word(ws[0], phi.eval_words(ws[1:]))
-        sign = 1
-        for i in range(1, n + 1):
-            sign = -sign
-            merged = mul(ws[i - 1], ws[i])
-            sub = eval_multi(phi, ws[:i - 1] + (merged,) + ws[i + 1:])
-            val = val + sub.scale(M.field.from_int(sign))
-        sign = -sign
+        val = _add_inner_faces(phi, ws, val)
         trail = M.right_word(phi.eval_words(ws[:n]), ws[n])
-        return val + trail.scale(M.field.from_int(sign))
+        return val + trail.scale(M.field.from_int((-1) ** (n + 1)))
 
     return LazyCochain(n + 1, M, fn)
 
@@ -220,19 +226,13 @@ def twisted_d(phi):
     M = phi.carrier
     if M.kind == "B":
         raise ValueError("the twisted coboundary needs a right A-action")
-    mul = M.B.mul_words
 
     def fn(ws):
         val = M.ad_word(ws[0], phi.eval_words(ws[1:]))
-        sign = 1
-        for i in range(1, n + 1):
-            sign = -sign
-            merged = mul(ws[i - 1], ws[i])
-            sub = eval_multi(phi, ws[:i - 1] + (merged,) + ws[i + 1:])
-            val = val + sub.scale(M.field.from_int(sign))
-        sign = -sign
+        val = _add_inner_faces(phi, ws, val)
         if ws[n] == ():  # counit of a basis monomial is its constant part
-            val = val + phi.eval_words(ws[:n]).scale(M.field.from_int(sign))
+            val = val + phi.eval_words(ws[:n]).scale(
+                M.field.from_int((-1) ** (n + 1)))
         return val
 
     return LazyCochain(n + 1, M, fn)
@@ -318,32 +318,19 @@ class CharacterFunctional:
     def act_sphere_word(self, w):
         """X.m = m_(1) X(m_(2)) for a sphere basis word, as {word: coeff}."""
         B = get_algebra(PODLES, self.field)
-        out = {}
-        for lw, right in b_coproduct_grouped(B, w).items():
-            v = self.on_poly(right)
-            if not self.field.is_zero(v):
-                acc = out.get(lw)
-                acc = v if acc is None else acc + v
-                if self.field.is_zero(acc):
-                    out.pop(lw, None)
-                else:
-                    out[lw] = acc
-        return out
+        return axpy({}, ((lw, self.on_poly(right)) for lw, right
+                         in b_coproduct_grouped(B, w).items()),
+                    self.field.is_zero)
 
     def act_qsl2_word(self, w):
         """X.a = a_(1) X(a_(2)) for a QSL2 basis word, as {word: coeff}."""
         A = get_algebra(QSL2, self.field)
-        out = {}
-        for (lw, rw), c in _cop_word(A, w).items():
-            v = self.on_word(rw)
-            if not self.field.is_zero(v):
-                acc = out.get(lw)
-                acc = c * v if acc is None else acc + c * v
-                if self.field.is_zero(acc):
-                    out.pop(lw, None)
-                else:
-                    out[lw] = acc
-        return out
+        zero = self.field.is_zero
+        values = ((lw, c, self.on_word(rw))
+                  for (lw, rw), c in _cop_word(A, w).items())
+        # a zero value is dropped before it costs a multiplication
+        return axpy({}, ((lw, c * v) for lw, c, v in values if not zero(v)),
+                    zero)
 
 
 def character_action(X, phi):
@@ -493,30 +480,20 @@ def sigma_map(p, chi=None):
     sigma_chi(y1) picks up a d^2 term when chi(y1) != 0); the result is
     then returned over QSL2.
     """
+    from .duality import Functional
     if p.alg.id != PODLES:
         raise ValueError("sigma_map expects a PODLES element")
     field = p.alg.field
     if chi is None:
         chi = (field.zero, field.zero, field.zero)
-    chi = tuple(field.from_int(v) if isinstance(v, int) else v for v in chi)
-    validate_character_b(chi, field)
-    vm, v0, vp = chi
+    vm, v0, vp = (field.from_int(v) if isinstance(v, int) else v for v in chi)
+    chi = Functional.char_B(vm, v0, vp, field)
     B = p.alg
     A = get_algebra(QSL2, field)
-
-    def chi_word(w):
-        i, j = podles_index(w)
-        out = field.one
-        for _ in range(i):
-            out = out * v0
-        for _ in range(abs(j)):
-            out = out * (vp if j > 0 else vm)
-        return out
-
     acc = A.zero()
     for w, c in p.terms.items():
         for lw, right in b_coproduct_grouped(B, w).items():
-            cv = chi_word(lw)
+            cv = chi.on_word(PODLES, lw)
             if field.is_zero(cv):
                 continue
             acc = acc + antipode(right, 2).scale(c * cv)

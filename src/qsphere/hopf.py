@@ -10,6 +10,7 @@ property), which b_coproduct certifies on every call.
 
 from __future__ import annotations
 
+from .linalg import axpy
 from .ncalg import (LAURENT, PODLES, QSL2, SMASH_Z2, NCPoly, embed_podles,
                     express_in_podles, get_algebra, laurent_word, qsl2_index)
 
@@ -35,34 +36,22 @@ class Tensor:
     @staticmethod
     def of(p, r):
         """Elementary tensor p (x) r of two NCPolys."""
-        out = {}
-        zero = p.alg.field.is_zero
-        for w1, c1 in p.terms.items():
-            for w2, c2 in r.terms.items():
-                c = c1 * c2
-                if not zero(c):
-                    out[(w1, w2)] = c
-        return Tensor(p.alg, r.alg, out)
+        terms = (((w1, w2), c1 * c2) for w1, c1 in p.terms.items()
+                 for w2, c2 in r.terms.items())
+        return Tensor(p.alg, r.alg, axpy({}, terms, p.alg.field.is_zero))
 
     def _check(self, other):
         if self.left_alg is not other.left_alg or self.right_alg is not other.right_alg:
             raise ValueError("tensor leg algebra mismatch")
 
     def add_term(self, lw, rw, c):
-        zero = self.left_alg.field.is_zero
-        acc = self.terms.get((lw, rw))
-        acc = c if acc is None else acc + c
-        if zero(acc):
-            self.terms.pop((lw, rw), None)
-        else:
-            self.terms[(lw, rw)] = acc
+        axpy(self.terms, (((lw, rw), c),), self.left_alg.field.is_zero)
 
     def __add__(self, other):
         self._check(other)
-        out = Tensor(self.left_alg, self.right_alg, dict(self.terms))
-        for (lw, rw), c in other.terms.items():
-            out.add_term(lw, rw, c)
-        return out
+        return Tensor(self.left_alg, self.right_alg,
+                      axpy(dict(self.terms), other.terms.items(),
+                           self.left_alg.field.is_zero))
 
     def __neg__(self):
         return Tensor(self.left_alg, self.right_alg,
@@ -104,17 +93,20 @@ class Tensor:
     def is_zero(self):
         return not self.terms
 
-    def render(self):
-        if not self.terms:
-            return "0"
+    def render_terms(self):
+        """The terms as "(c) * left (x) right" strings (no coefficient when
+        it is 1), sorted by leg; ["0"] for the zero tensor."""
+        L, R = self.left_alg, self.right_alg
         parts = []
-        keyfn = lambda k: (self.left_alg.sort_key(k[0]), self.right_alg.sort_key(k[1]))
-        for lw, rw in sorted(self.terms, key=keyfn):
-            c = self.terms[(lw, rw)]
-            cs = self.left_alg.field.render(c)
-            body = f"{self.left_alg.render_word(lw)} (x) {self.right_alg.render_word(rw)}"
-            parts.append(body if cs == "1" else f"({cs})*{body}")
-        return "  +  ".join(parts)
+        for lw, rw in sorted(self.terms, key=lambda k: (L.sort_key(k[0]),
+                                                        R.sort_key(k[1]))):
+            cs = L.field.render(self.terms[(lw, rw)])
+            body = f"{L.render_word(lw)} (x) {R.render_word(rw)}"
+            parts.append(body if cs == "1" else f"({cs}) * {body}")
+        return parts or ["0"]
+
+    def render(self):
+        return "  +  ".join(self.render_terms())
 
     def __repr__(self):
         return f"Tensor({self.render()})"
@@ -212,21 +204,13 @@ def b_coproduct_word(B, w):
         return hit
     A = get_algebra(QSL2, B.field)
     emb = embed_podles(NCPoly(B, {w: B.field.one}))
-    out = {}
-    zero = B.field.is_zero
+    items = []
     for aw, c in emb.terms.items():
         for (lw, rw), cc in _cop_word(A, aw).items():
             e = express_in_podles(NCPoly(A, {lw: A.field.one}))
             (ew, eu), = e.terms.items()
-            k = (ew, rw)
-            acc = out.get(k)
-            val = c * cc * eu
-            acc = val if acc is None else acc + val
-            if zero(acc):
-                out.pop(k, None)
-            else:
-                out[k] = acc
-    _BCOP_CACHE[key] = out
+            items.append(((ew, rw), c * cc * eu))
+    out = _BCOP_CACHE[key] = axpy({}, items, B.field.is_zero)
     return out
 
 

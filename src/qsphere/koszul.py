@@ -252,11 +252,10 @@ class TruncatedMap:
     """
 
     def __init__(self, field, domain_basis, codomain_basis, images,
-                 N_dom=None, N_cod=None):
+                 N_cod=None):
         self.field = field
         self.domain_basis = list(domain_basis)
         self.codomain_basis = list(codomain_basis)
-        self.N_dom = N_dom
         self.N_cod = N_cod
         index = {m.word: r for r, m in enumerate(self.codomain_basis)}
         rows = len(self.codomain_basis)
@@ -304,8 +303,7 @@ def zeta_matrix(jmax, field=SYMBOLIC):
     dom = quotient_level_basis(jmax)
     cod = quotient_level_basis(jmax + 1)
     images = [nu_reduce(B.monomial(m.word) * z1) for m in dom]
-    tmap = TruncatedMap(field, dom, cod, images,
-                        N_dom=jmax + 1, N_cod=jmax + 2)
+    tmap = TruncatedMap(field, dom, cod, images, N_cod=jmax + 2)
 
     from .linalg import determinant
     rows = {m.word: r for r, m in enumerate(cod)}

@@ -1,12 +1,32 @@
 """Sparse exact linear algebra over a field (Q(q) or Q).
 
 Vectors are dicts mapping a hashable column key to a nonzero field element.
-The workhorse is Echelon, an incremental row-echelon store: feed vectors,
-read off rank, reduce further vectors against the span, and extract
-representations.  Everything is exact; no pivot thresholds.
+Every layer adds into such vectors through axpy, which drops a key whose
+sum cancels.  The workhorse is Echelon, an incremental row-echelon store:
+feed vectors, read off rank, reduce further vectors against the span, and
+extract representations.  Everything is exact; no pivot thresholds.
 """
 
 from __future__ import annotations
+
+
+def axpy(out, items, is_zero, c=None):
+    """Add c * v (v when c is None) into the sparse vector out for each
+    (key, v) in items, in place, and return out.
+
+    A key whose sum cancels is popped, so out never stores a zero and a key
+    added again later goes to the end of the dict's insertion order.
+    """
+    for key, v in items:
+        if c is not None:
+            v = c * v
+        acc = out.get(key)
+        acc = v if acc is None else acc + v
+        if is_zero(acc):
+            out.pop(key, None)
+        else:
+            out[key] = acc
+    return out
 
 
 class Echelon:
@@ -28,28 +48,24 @@ class Echelon:
 
     def reduce(self, vec):
         """Remainder of vec modulo the current row space (fresh dict)."""
+        return self._eliminate(vec)[0]
+
+    def _eliminate(self, vec):
+        """(remainder, {pivot col: multiplier}): clears the pivot columns of
+        vec one at a time, subtracting multiplier * row for each."""
         v = dict(vec)
+        multipliers = {}
         rows = self.rows
         zero = self.field.is_zero
-        # iterate until no pivot col of v is in rows
         while True:
-            hit = None
-            for col in v:
-                if col in rows:
-                    hit = col
+            for hit in v:
+                if hit in rows:
                     break
-            if hit is None:
-                return v
-            c = v.pop(hit)
-            for col2, c2 in rows[hit].items():
-                if col2 == hit:
-                    continue
-                acc = v.get(col2)
-                acc = -c * c2 if acc is None else acc - c * c2
-                if zero(acc):
-                    v.pop(col2, None)
-                else:
-                    v[col2] = acc
+            else:
+                return v, multipliers
+            c = multipliers[hit] = v.pop(hit)
+            axpy(v, ((col, c2) for col, c2 in rows[hit].items() if col != hit),
+                 zero, -c)
 
     def add(self, vec):
         """Insert vec; returns the new pivot column or None if dependent."""
@@ -73,32 +89,8 @@ class Echelon:
 
         Returns {pivot col: coefficient} such that vec = sum coeff * row.
         """
-        v = dict(vec)
-        rows = self.rows
-        zero = self.field.is_zero
-        out = {}
-        while True:
-            hit = None
-            for col in v:
-                if col in rows:
-                    hit = col
-                    break
-            if hit is None:
-                break
-            c = v.pop(hit)
-            out[hit] = c
-            for col2, c2 in rows[hit].items():
-                if col2 == hit:
-                    continue
-                acc = v.get(col2)
-                acc = -c * c2 if acc is None else acc - c * c2
-                if zero(acc):
-                    v.pop(col2, None)
-                else:
-                    v[col2] = acc
-        if v:
-            return None
-        return out
+        rem, multipliers = self._eliminate(vec)
+        return None if rem else multipliers
 
 
 def _generic_key(col):

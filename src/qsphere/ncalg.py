@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 
+from .linalg import axpy
 from .scalars import SYMBOLIC
 
 QSL2 = "QSL2"
@@ -94,8 +95,7 @@ class AlgebraPreset:
         result must not depend on it, which the confluence check exercises.
         """
         rules = self.rules
-        zero = self.field.is_zero
-        out = {}
+        irreducible = []
         stack = list(terms.items())
         while stack:
             word, coeff = stack.pop()
@@ -108,17 +108,12 @@ class AlgebraPreset:
                     pos = i
                     break
             if pos < 0:
-                acc = out.get(word)
-                acc = coeff if acc is None else acc + coeff
-                if zero(acc):
-                    out.pop(word, None)
-                else:
-                    out[word] = acc
+                irreducible.append((word, coeff))
                 continue
             head, tail = word[:pos], word[pos + 2:]
             for rc, rw in rules[(word[pos], word[pos + 1])]:
                 stack.append((head + rw + tail, coeff * rc))
-        return out
+        return axpy({}, irreducible, self.field.is_zero)
 
     def mul_words(self, w1, w2):
         """Normal form of the concatenation of two normal words (cached)."""
@@ -136,18 +131,7 @@ class AlgebraPreset:
     # -- element constructors --------------------------------------------------
 
     def poly(self, terms):
-        out = {}
-        zero = self.field.is_zero
-        for word, coeff in terms.items():
-            if zero(coeff):
-                continue
-            acc = out.get(word)
-            acc = coeff if acc is None else acc + coeff
-            if zero(acc):
-                out.pop(word, None)
-            else:
-                out[word] = acc
-        return NCPoly(self, out)
+        return NCPoly(self, axpy({}, terms.items(), self.field.is_zero))
 
     def zero(self):
         return NCPoly(self, {})
@@ -204,16 +188,8 @@ class NCPoly:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        zero = self.alg.field.is_zero
-        for w, c in other.terms.items():
-            acc = out.get(w)
-            acc = c if acc is None else acc + c
-            if zero(acc):
-                out.pop(w, None)
-            else:
-                out[w] = acc
-        return NCPoly(self.alg, out)
+        return NCPoly(self.alg, axpy(dict(self.terms), other.terms.items(),
+                                     self.alg.field.is_zero))
 
     def __neg__(self):
         return NCPoly(self.alg, {w: -c for w, c in self.terms.items()})
@@ -230,14 +206,7 @@ class NCPoly:
         mul = self.alg.mul_words
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                c12 = c1 * c2
-                for w, cr in mul(w1, w2).items():
-                    acc = out.get(w)
-                    acc = c12 * cr if acc is None else acc + c12 * cr
-                    if zero(acc):
-                        out.pop(w, None)
-                    else:
-                        out[w] = acc
+                axpy(out, mul(w1, w2).items(), zero, c1 * c2)
         return NCPoly(self.alg, out)
 
     def __rmul__(self, other):
@@ -275,10 +244,6 @@ class NCPoly:
 
     def coeff(self, word):
         return self.terms.get(tuple(word), self.alg.field.zero)
-
-    def map_coeffs(self, fn, field=None):
-        alg = self.alg if field is None else get_algebra(self.alg.id, field)
-        return alg.poly({w: fn(c) for w, c in self.terms.items()})
 
     def render(self):
         if not self.terms:
@@ -388,7 +353,7 @@ def normal_form(expr, alg, strategy="leftmost"):
     """
     if isinstance(expr, NCPoly):
         return alg.poly(alg.reduce_terms(expr.terms, strategy))
-    terms = {}
+    pairs = []
     for word, coeff in expr.items():
         idx = []
         for g in word:
@@ -402,8 +367,8 @@ def normal_form(expr, alg, strategy="leftmost"):
                 idx.append(g)
         if isinstance(coeff, int):
             coeff = alg.field.from_int(coeff)
-        w = tuple(idx)
-        terms[w] = terms.get(w, alg.field.zero) + coeff
+        pairs.append((tuple(idx), coeff))
+    terms = axpy({}, pairs, alg.field.is_zero)
     return alg.poly(alg.reduce_terms(terms, strategy))
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qsphere.cli import main
 
 
@@ -41,6 +43,17 @@ def test_delta_and_antipode(capsys):
     assert json.loads(out)["result"] == "q^-2*y1"
 
 
+def test_tensor_coefficient_format(capsys):
+    code, out, _ = run_cli(capsys, "delta", "2*a")
+    assert code == 0
+    assert json.loads(out)["result"] == ["(2) * a (x) a", "(2) * b (x) c"]
+    code, out, _ = run_cli(capsys, "member", "q*b*c")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["result"] is True
+    assert payload["coaction"] == ["(q) * 1 (x) b*c"]
+
+
 def test_sigma_beta_omega(capsys):
     code, out, _ = run_cli(capsys, "sigma", "--apply", "y0*y1")
     assert json.loads(out)["result"] == "q^-2*y0*y1"
@@ -54,6 +67,25 @@ def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "nf", "--algebra", "podles", "y0 @ y1")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("h0-table", "--jmax", "-1"),
+    ("h0-table", "--imax", "-1"),
+    ("--trials", "-3", "xi-check"),
+    ("xi-check", "--trials", "0"),
+    ("--trials", "-1", "verify-all"),
+])
+def test_bad_sizes_and_trial_counts_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_h0_table_has_no_N_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["h0-table", "--N", "3"])
+    assert exc.value.code == 2
 
 
 def test_zeta_and_checks_exit_codes(capsys):

@@ -79,6 +79,8 @@ def test_convolution_unit_and_characters():
     assert conv(A.gen("a")) == Q ** 3
     assert conv(A.gen("d")) == ONE / Q ** 3
     assert conv(A.gen("b")) == ZERO
+    with pytest.raises(ValueError, match="must be nonzero"):
+        Functional.char_A(ZERO)
 
 
 def test_convolution_associativity_random():

@@ -1,6 +1,6 @@
 import random
 
-from qsphere.linalg import Echelon, determinant, nullspace, rank
+from qsphere.linalg import Echelon, axpy, determinant, nullspace, rank
 from qsphere.scalars import ONE, Q, SYMBOLIC, ZERO
 
 
@@ -50,3 +50,20 @@ def test_determinant_exact():
     # row swaps flip the sign
     m = [[ZERO, ONE], [ONE, ZERO]]
     assert determinant(SYMBOLIC, m) == -ONE
+
+
+def test_axpy_drops_cancelled_keys_and_keeps_insertion_order():
+    zero = SYMBOLIC.is_zero
+    out = {"a": ONE, "b": Q}
+    assert axpy(out, [("a", -ONE), ("c", Q)], zero) is out
+    assert out == {"b": Q, "c": Q} and "a" not in out
+    # a cancelled key that comes back goes to the end
+    axpy(out, [("a", Q * Q)], zero)
+    assert list(out) == ["b", "c", "a"]
+    # zero values are never stored, whether the key is new or cancels
+    axpy(out, [("d", ZERO), ("b", -Q)], zero)
+    assert list(out) == ["c", "a"]
+    # c scales each value before it is added
+    axpy(out, [("c", ONE), ("e", Q)], zero, c=Q)
+    assert out == {"c": Q + Q, "a": Q * Q, "e": Q * Q}
+    assert axpy({}, [("x", ONE)], zero, c=ZERO) == {}

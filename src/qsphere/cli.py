@@ -157,11 +157,7 @@ def _emit(args, payload):
             else:
                 lines.append(json.dumps(r, default=str))
         text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    print(text, file=args.out)  # the open --out file, or None for stdout
 
 
 def _parse_chi(raw, field):
@@ -308,7 +304,19 @@ def main(argv=None):
     try:
         # QSPHERE_* defaults are read while the parser is built, so a bad
         # value is a usage error like a bad flag
-        return run(build_parser().parse_args(argv))
+        args = build_parser().parse_args(argv)
+        if args.out is None:
+            return run(args)
+        # open --out before the computation, as a shell redirection does, so
+        # an unwritable path is a usage error that costs no computation
+        try:
+            fh = open(args.out, "w")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: "
+                             f"{exc.strerror or exc}") from None
+        with fh:
+            args.out = fh
+            return run(args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

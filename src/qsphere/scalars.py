@@ -1,11 +1,14 @@
 """Exact arithmetic in the field Q(q) of rational functions in the
 deformation parameter q.
 
-Every computation in this package is exact: scalars are reduced fractions
-of integer-coefficient polynomials in q, canonicalised so that equality of
-values is equality of representations.  There is no floating point mode;
-the "fast" mode replaces q by an exact rational number (see NumericField),
-which stays exact as well.
+Every computation in this package is exact.  A scalar is stored as
+q^e * n(q)/d(q) with an integer exponent e and integer-coefficient
+polynomials n and d that q does not divide, reduced so that equality of
+values is equality of representations (see RationalFunction).  Almost
+every scalar the checks meet is a Laurent polynomial, d a positive
+integer, and its arithmetic needs no polynomial gcd.  There is no floating
+point mode; the "fast" mode replaces q by an exact rational number (see
+NumericField), which stays exact as well.
 
 Polynomials are stored little-endian as tuples of Python ints, so
 (1, 0, -2) means 1 - 2*q^2.
@@ -14,7 +17,7 @@ Polynomials are stored little-endian as tuples of Python ints, so
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -28,42 +31,32 @@ def _ptrim(cs):
     return tuple(cs[:n])
 
 
-def _padd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _ptrim(out)
-
-
 def _pneg(a):
     return tuple(-c for c in a)
 
 
 def _pmul(a, b):
-    if not a or not b:
-        return ()
+    # product of nonzero polynomials with nonzero leading coefficients
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        c = a[0]
+        if c == 1:
+            return b
+        return (c * b[0],) if len(b) == 1 else tuple([c * cb for cb in b])
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
-            for j, cb in enumerate(b):
+            for j, cb in enumerate(b, i):
                 if cb:
-                    out[i + j] += ca * cb
-    return _ptrim(out)
+                    out[j] += ca * cb
+    return tuple(out)
 
 
-def _pshift(a, k):
-    # multiply by q^k, k >= 0
-    if not a:
-        return ()
-    return (0,) * k + tuple(a)
-
-
-def _pcontent(a):
-    g = 0
+def _pcontent(a, g=0):
+    # gcd of g and the coefficients of a (1 if that is 0)
     for c in a:
-        g = gcd(g, abs(c))
+        g = gcd(g, c)
         if g == 1:
             return 1
     return g or 1
@@ -163,60 +156,56 @@ def _pterms(a, shift=0):
 
 
 # ---------------------------------------------------------------------------
-# Scalar: reduced fraction num/den over Z[q]
+# Scalar: q^e * n(q)/d(q) over Z[q]
 # ---------------------------------------------------------------------------
 
 class RationalFunction:
-    """An element of Q(q) in canonical form.
+    """An element q^e * n(q)/d(q) of Q(q) in canonical form.
 
-    Invariants: den is nonzero, the fraction is reduced (no common content,
-    no common polynomial factor, no common power of q) and the leading
-    coefficient of den is positive.  Equality is therefore structural.
+    Invariants: n and d are int tuples with nonzero constant and leading
+    coefficients (zero is e = 0, n = (), d = (1,)); n and d are coprime,
+    content included; and the leading coefficient of d is positive.
+    Equality is therefore structural.  The value is a Laurent polynomial
+    exactly when len(d) == 1, and then sums and products only shift
+    exponents and combine int tuples, with an integer gcd when d != (1,).
+    The polynomial gcd runs only when both sides it would cancel have more
+    than one term.
+
+    `num` and `den` give the same value as one reduced fraction, with q^e
+    moved into the numerator (e > 0) or the denominator (e < 0).
     """
 
-    __slots__ = ("num", "den", "_hash", "_m")
+    __slots__ = ("_e", "_n", "_d", "_hash")
 
-    def __init__(self, num, den=(1,), _reduced=False):
-        if not _reduced:
-            num, den = _reduce(num, den)
-        self.num = num
-        self.den = den
+    def __init__(self, num, den=(1,)):
+        self._e, self._n, self._d = _canon(num, den)
         self._hash = None
-        self._m = False  # False: unknown, None: not a monomial, else (cn, cd, exp)
 
-    def _mono(self):
-        """(cn, cd, e) when the value is (cn/cd)*q^e, else None (cached).
+    @property
+    def num(self):
+        e = self._e
+        return (0,) * e + self._n if e > 0 else self._n
 
-        Monomial values dominate every heavy loop, and their arithmetic
-        reduces to integer gcds; see the fast paths below.
-        """
-        m = self._m
-        if m is False:
-            m = None
-            if _nnz(self.num) == 1 and _nnz(self.den) == 1:
-                en = next(i for i, c in enumerate(self.num) if c)
-                ed = next(i for i, c in enumerate(self.den) if c)
-                m = (self.num[en], self.den[ed], en - ed)
-            self._m = m
-        return m
+    @property
+    def den(self):
+        e = self._e
+        return (0,) * -e + self._d if e < 0 else self._d
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_int(n):
-        return RationalFunction((n,) if n else (), (1,), _reduced=True)
+        return _rf(0, (n,) if n else (), (1,))
 
     @staticmethod
     def q_power(k):
-        if k >= 0:
-            return RationalFunction(_pshift((1,), k), (1,), _reduced=True)
-        return RationalFunction((1,), _pshift((1,), -k), _reduced=True)
+        return _rf(k, (1,), (1,))
 
     @staticmethod
     def from_fraction(fr):
         fr = Fraction(fr)
-        return RationalFunction((fr.numerator,) if fr.numerator else (),
-                                (fr.denominator,), _reduced=True)
+        return _rf(0, (fr.numerator,) if fr.numerator else (),
+                   (fr.denominator,))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -224,42 +213,32 @@ class RationalFunction:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.num:
+        n1, n2 = self._n, other._n
+        if not n1:
             return other
-        if not other.num:
+        if not n2:
             return self
-        ma, mb = self._mono(), other._mono()
-        if ma and mb:
-            cn1, cd1, e1 = ma
-            cn2, cd2, e2 = mb
-            if e1 == e2:
-                return _from_mono(cn1 * cd2 + cn2 * cd1, cd1 * cd2, e1)
-            lo = min(e1, e2)
-            cd = cd1 * cd2
-            a1, a2 = cn1 * cd2, cn2 * cd1
-            g = gcd(gcd(abs(a1), abs(a2)), cd)
-            if g > 1:
-                a1, a2, cd = a1 // g, a2 // g, cd // g
-            top = max(e1, e2) - min(lo, 0)
-            num = [0] * (top + 1)
-            num[e1 - min(lo, 0)] = a1
-            num[e2 - min(lo, 0)] = a2
-            den = (0,) * (-min(lo, 0)) + (cd,)
-            return RationalFunction(tuple(num), den, _reduced=True)
-        if self.den == other.den:
-            return RationalFunction(_padd(self.num, other.num), self.den)
-        return RationalFunction(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den))
+        d1, d2 = self._d, other._d
+        if d1 != d2 and len(d1) == 1 and len(d2) == 1:
+            # two Laurent polynomials: bring both over the lcm of the integers
+            c = lcm(d1[0], d2[0])
+            n1, n2 = _pmul((c // d1[0],), n1), _pmul((c // d2[0],), n2)
+            d1 = d2 = (c,)
+        if d1 == d2:
+            e, n = _shifted_sum(n1, self._e, n2, other._e)
+        else:
+            e, n = _shifted_sum(_pmul(n1, d2), self._e, _pmul(n2, d1), other._e)
+            d1 = _pmul(d1, d2)
+        if not n:
+            return ZERO
+        if d1 != (1,):
+            n, d1 = _coprime(n, d1)
+        return _rf(e, n, d1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RationalFunction(_pneg(self.num), self.den, _reduced=True)
-        m = self._m
-        if m:
-            out._m = (-m[0], m[1], m[2])
-        return out
+        return _rf(self._e, _pneg(self._n), self._d)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -274,20 +253,7 @@ class RationalFunction:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.num or not other.num:
-            return ZERO
-        ma, mb = self._mono(), other._mono()
-        if ma and mb:
-            return _from_mono(ma[0] * mb[0], ma[1] * mb[1], ma[2] + mb[2])
-        if ma:
-            return _mul_mono(other, ma)
-        if mb:
-            return _mul_mono(self, mb)
-        # cross-reduce; the factors are then pairwise coprime and the
-        # product is canonical without a gcd on the full products
-        n1, d2 = _reduce(self.num, other.den)
-        n2, d1 = _reduce(other.num, self.den)
-        return RationalFunction(_pmul(n1, n2), _pmul(d1, d2), _reduced=True)
+        return _mul(self, other)
 
     __rmul__ = __mul__
 
@@ -295,22 +261,12 @@ class RationalFunction:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.num:
+        n, d = other._n, other._d
+        if not n:
             raise ZeroDivisionError("division by the zero rational function")
-        if not self.num:
-            return ZERO
-        ma, mb = self._mono(), other._mono()
-        if ma and mb:
-            cn, cd = ma[0] * mb[1], ma[1] * mb[0]
-            if cd < 0:
-                cn, cd = -cn, -cd
-            return _from_mono(cn, cd, ma[2] - mb[2])
-        n1, n2 = _reduce(self.num, other.num)
-        d2, d1 = _reduce(other.den, self.den)
-        num, den = _pmul(n1, d2), _pmul(d1, n2)
-        if den[-1] < 0:
-            num, den = _pneg(num), _pneg(den)
-        return RationalFunction(num, den, _reduced=True)
+        if n[-1] < 0:
+            n, d = _pneg(n), _pneg(d)
+        return _mul(self, _rf(-other._e, d, n))
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
@@ -330,16 +286,19 @@ class RationalFunction:
     # -- structure ----------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._n)
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = RationalFunction.from_int(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (self._e == other._e and self._n == other._n
+                and self._d == other._d)
 
     def __hash__(self):
+        # the hash of the reduced fraction (num, den): the iteration order
+        # of any set or dict keyed by scalars depends on it
         if self._hash is None:
             self._hash = hash((self.num, self.den))
         return self._hash
@@ -348,14 +307,14 @@ class RationalFunction:
         return f"RationalFunction({self.render()!r})"
 
     def render(self):
-        if not self.num:
+        e, n, d = self._e, self._n, self._d
+        if not n:
             return "0"
-        # fold monomial denominators q^k into Laurent exponents
-        nz = [i for i, c in enumerate(self.den) if c]
-        if len(nz) == 1 and self.den[nz[0]] == 1:
-            return _pterms(self.num, shift=-nz[0])
-        num = _pterms(self.num)
-        den = _pterms(self.den)
+        if d == (1,):
+            # a Laurent polynomial with integer coefficients
+            return _pterms(n, shift=e)
+        num = _pterms(n, shift=max(e, 0))
+        den = _pterms(d, shift=max(-e, 0))
         num = f"({num})" if (" " in num or num.startswith("-")) else num
         den = f"({den})" if " " in den else den
         return f"{num}/{den}"
@@ -365,6 +324,13 @@ class RationalFunction:
         if den == 0:
             raise ZeroDivisionError(f"denominator vanishes at q = {q0}")
         return _peval(self.num, q0) / den
+
+
+def _rf(e, n, d):
+    """The RationalFunction q^e * n/d; (e, n, d) must already be canonical."""
+    out = object.__new__(RationalFunction)
+    out._e, out._n, out._d, out._hash = e, n, d, None
+    return out
 
 
 def _coerce(x):
@@ -377,77 +343,83 @@ def _coerce(x):
     return NotImplemented
 
 
-def _from_mono(cn, cd, e):
-    """(cn/cd)*q^e with cd > 0, as a canonical RationalFunction."""
-    if cn == 0:
+def _mul(x, y):
+    """x * y: cancel each numerator against the other denominator; the
+    products of the cancelled factors are then canonical."""
+    n1, n2, d1, d2 = x._n, y._n, x._d, y._d
+    if not n1 or not n2:
         return ZERO
-    g = gcd(abs(cn), cd)
-    if g > 1:
-        cn //= g
-        cd //= g
-    if e >= 0:
-        out = RationalFunction((0,) * e + (cn,), (cd,), _reduced=True)
-    else:
-        out = RationalFunction((cn,), (0,) * (-e) + (cd,), _reduced=True)
-    out._m = (cn, cd, e)
-    return out
+    if d2 != (1,):
+        n1, d2 = _coprime(n1, d2)
+    if d1 != (1,):
+        n2, d1 = _coprime(n2, d1)
+        d2 = _pmul(d1, d2)
+    return _rf(x._e + y._e, _pmul(n1, n2), d2)
 
 
-def _mul_mono(x, m):
-    """x * (cn/cd)*q^e for a general canonical x: integer scaling plus a
-    shift of the q-power split between numerator and denominator."""
-    cn, cd, e = m
-    num, den = x.num, x.den
-    if cn != 1 or cd != 1:
-        g1 = gcd(abs(cn), _pcontent(den))
-        g2 = gcd(cd, _pcontent(num))
-        cn //= g1
-        cd //= g2
-        if cn != 1 or g2 > 1:
-            num = tuple(c * cn // g2 for c in num)
-        if cd != 1 or g1 > 1:
-            den = tuple(c * cd // g1 for c in den)
-        if den[-1] < 0:
-            num, den = _pneg(num), _pneg(den)
-    if e == 0:
-        return RationalFunction(num, den, _reduced=True)
-    tn = next(i for i, c in enumerate(num) if c)
-    td = next(i for i, c in enumerate(den) if c)
-    net = e + tn - td
-    nn, dd = num[tn:], den[td:]
-    if net >= 0:
-        return RationalFunction((0,) * net + nn, dd, _reduced=True)
-    return RationalFunction(nn, (0,) * (-net) + dd, _reduced=True)
+def _shifted_sum(a, ea, b, eb):
+    """(e, s) with q^ea * a + q^eb * b == q^e * s, where s is () or has
+    nonzero constant and leading coefficients."""
+    if ea > eb:
+        a, ea, b, eb = b, eb, a, ea
+    shift = eb - ea
+    out = list(a)
+    top = shift + len(b)
+    if top > len(out):
+        out += [0] * (top - len(out))
+    for i, c in enumerate(b, shift):
+        out[i] += c
+    hi = len(out)
+    while hi and not out[hi - 1]:
+        hi -= 1
+    if not hi:
+        return 0, ()
+    lo = 0
+    while not out[lo]:
+        lo += 1
+    return ea + lo, tuple(out[lo:hi])
 
 
-def _nnz(p):
-    return sum(1 for c in p if c)
-
-
-def _reduce(num, den):
+def _canon(num, den):
+    """The canonical (e, n, d) of num/den, for int sequences num and den
+    that may have zero coefficients at either end."""
     num, den = _ptrim(num), _ptrim(den)
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
-        return (), (1,)
-    tn = next(i for i, c in enumerate(num) if c)
-    td = next(i for i, c in enumerate(den) if c)
-    t = min(tn, td)
-    if t:
-        num, den = num[t:], den[t:]
-    g = gcd(_pcontent(num), _pcontent(den))
+        return 0, (), (1,)
+    tn = td = 0
+    while not num[tn]:
+        tn += 1
+    while not den[td]:
+        td += 1
+    n, d = _coprime(num[tn:], den[td:])
+    return tn - td, n, d
+
+
+def _coprime(n, d):
+    """n/d in lowest terms with a positive leading coefficient of d, for
+    nonzero n and d with nonzero constant and leading coefficients.
+
+    No power of q divides either side, so a one-term side leaves only the
+    integer content to cancel; the polynomial gcd is for two longer sides.
+    """
+    if len(d) == 1:
+        c = d[0]
+        g = _pcontent(n, c)
+        if g > 1:
+            n, c = _pdiv_int(n, g), c // g
+        return (_pneg(n), (-c,)) if c < 0 else (n, (c,))
+    g = _pcontent(n, _pcontent(d))
     if g > 1:
-        num, den = _pdiv_int(num, g), _pdiv_int(den, g)
-    # once the shared power of q and the content are gone, a monomial on
-    # either side leaves nothing to cancel; the costly gcd is for the
-    # genuinely polynomial case only
-    if _nnz(den) > 1 and _nnz(num) > 1:
-        h = _pgcd(num, den)
+        n, d = _pdiv_int(n, g), _pdiv_int(d, g)
+    if len(n) > 1:
+        h = _pgcd(n, d)
         if len(h) > 1:
-            num, den = _pdivexact(num, h), _pdivexact(den, h)
-    if den[-1] < 0:
-        num, den = _pneg(num), _pneg(den)
-    return num, den
+            n, d = _pdivexact(n, h), _pdivexact(d, h)
+    if d[-1] < 0:
+        n, d = _pneg(n), _pneg(d)
+    return n, d
 
 
 ZERO = RationalFunction.from_int(0)

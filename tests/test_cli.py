@@ -148,3 +148,22 @@ def test_verify_all_reports_and_exit(capsys):
     for r in reports:
         assert set(r) == {"check", "params", "result", "expected", "pass",
                           "elapsed_ms"}
+
+
+def test_unwritable_out_is_a_usage_error_before_any_work(capsys, tmp_path,
+                                                          monkeypatch):
+    def no_run(args):
+        raise AssertionError("the command ran before --out was checked")
+
+    monkeypatch.setattr("qsphere.cli.run", no_run)
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run_cli(capsys, "--out", str(target), "nf", "y0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write --out")
+
+
+def test_out_writes_the_report(capsys, tmp_path):
+    target = tmp_path / "r.json"
+    code, out, _ = run_cli(capsys, "--out", str(target), "nf", "y0")
+    assert code == 0 and out == ""
+    assert json.loads(target.read_text())["result"] == "y0"

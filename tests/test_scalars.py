@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -120,3 +121,99 @@ def test_numeric_field_guards():
     with pytest.raises(ValueError):
         NumericField(-1)
     assert SYMBOLIC.q_power(2) == Q * Q
+
+
+@pytest.mark.parametrize("num, den, text", [
+    ((1,), (0, 2), "1/2*q"),
+    ((1, 1), (2,), "(q + 1)/2"),
+    ((0, 0, 1, 1), (6,), "(q^3 + q^2)/6"),
+    ((1,), (0, 0, 3), "1/3*q^2"),
+    ((0, 1), (1, 1), "q/(q + 1)"),
+    ((1,), (0, 1, 1), "1/(q^2 + q)"),
+    ((-3, 0, 1), (0, 0, 2), "(q^2 - 3)/2*q^2"),
+    ((1, 1), (0, 2), "(q + 1)/2*q"),
+    ((-1,), (1,), "-1"),
+    ((0, -1), (2,), "(-q)/2"),
+])
+def test_render_golden(num, den, text):
+    # every branch of render(), pinned byte for byte
+    assert rf(num, den).render() == text
+
+
+def test_num_den_are_the_reduced_fraction():
+    x = rf((0, 0, 2, 2), (0, 4))  # (2q^2 + 2q^3)/(4q) = q(1 + q)/2
+    assert (x.num, x.den) == ((0, 1, 1), (2,))
+    y = rf((3,), (0, 0, -6, 6))  # 3/(6q^3 - 6q^2) = 1/(2q^3 - 2q^2)
+    assert (y.num, y.den) == ((1,), (0, 0, -2, 2))
+    assert (ZERO.num, ZERO.den) == ((), (1,))
+    assert hash(x) == hash((x.num, x.den))
+
+
+def test_cancellation_at_the_ends_and_in_the_content():
+    # equality is structural, so equal to a canonical value means canonical
+    q_inv = ONE / Q
+    assert (Q + 1) + (-Q) == ONE
+    assert q_inv + (1 - q_inv) == ONE
+    assert rf((1, 1), (2,)) + rf((-1, 1), (2,)) == Q
+    assert (Q ** 3 + Q) - Q ** 3 == Q  # the top term cancels
+    assert (Q ** -2 + Q) - Q ** -2 == Q  # the bottom term cancels
+    assert (Q + Fraction(1, 2)) - Q == rf((1,), (2,))
+    assert ((Q - Q).num, (Q - Q).den) == ((), (1,))
+
+
+# -- differential test against sympy ----------------------------------------
+
+def _random_operand(rng, shape):
+    coeffs = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))]
+    coeffs[rng.randrange(len(coeffs))] = rng.choice((-3, -1, 1, 2, 5))
+    e = rng.randint(-3, 3)
+    if shape == "monomial":
+        value = rf((rng.choice((-3, -1, 1, 2, 5)),), (rng.randint(1, 6),))
+    elif shape == "laurent":
+        value = rf(coeffs, (rng.randint(1, 6),))
+    else:
+        den = [rng.randint(-4, 4) for _ in range(rng.randint(2, 3))]
+        den[-1] = den[-1] or 1
+        den[0] = den[0] or -2
+        value = rf(coeffs, den)
+    return value * Q ** e
+
+
+def test_differential_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def to_sympy(x):
+        num = sum(c * q ** i for i, c in enumerate(x.num))
+        den = sum(c * q ** i for i, c in enumerate(x.den))
+        return num / den
+
+    def canonical_tuples(expr):
+        # sympy.cancel, scaled to integer coefficients with no common
+        # content and a positive leading coefficient of the denominator
+        num, den = sympy.fraction(sympy.cancel(expr))
+        if num == 0:
+            return (), (1,)
+        pn = sympy.Poly(num, q, domain="QQ").all_coeffs()[::-1]
+        pd = sympy.Poly(den, q, domain="QQ").all_coeffs()[::-1]
+        cs = [Fraction(int(c.p), int(c.q)) for c in pn + pd]
+        scale = lcm(*(c.denominator for c in cs))
+        ints = [int(c * scale) for c in cs]
+        g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+        ints = [c // g for c in ints]
+        return tuple(ints[:len(pn)]), tuple(ints[len(pn):])
+
+    rng = random.Random(20081)
+    shapes = ("monomial", "laurent", "general")
+    q0 = Fraction(7, 3)
+    for i in range(90):
+        a = _random_operand(rng, shapes[i % 3])
+        b = _random_operand(rng, shapes[(i // 3) % 3])
+        sa, sb = to_sympy(a), to_sympy(b)
+        k = rng.randint(-3, 3)
+        cases = [(a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb),
+                 (a / b, sa / sb), (a ** k, sa ** k)]
+        for got, expr in cases:
+            assert (got.num, got.den) == canonical_tuples(expr), expr
+            want = expr.subs(q, sympy.Rational(q0.numerator, q0.denominator))
+            assert got.subs(q0) == Fraction(int(want.p), int(want.q))

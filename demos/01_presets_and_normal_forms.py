@@ -44,7 +44,7 @@ print()
 print("== filtration bases ==")
 for alg_id, N in ((PODLES, 2), (LAURENT, 2), (SMASH_Z2, 2)):
     alg = get_algebra(alg_id)
-    names = [alg.render_word(m.word) for m in filtration_basis(alg, N)]
+    names = [alg.render_word(m) for m in filtration_basis(alg, N)]
     print(f"  {alg_id:9} length <= {N}: {names}")
 
 print()

@@ -40,7 +40,7 @@ print("every sphere basis monomial up to length 4 passes, and stays inside")
 print("under S^2 and S^-2:")
 count = 0
 for m in filtration_basis(B, 4):
-    e = embed_podles(B.monomial(m.word))
+    e = embed_podles(B.monomial(m))
     assert coideal_membership(e)
     assert coideal_membership(antipode(e, 2))
     assert coideal_membership(antipode(e, -2))

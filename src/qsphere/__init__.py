@@ -14,8 +14,8 @@ projection (duality), a structured verification suite (checks), and a CLI
 
 from .scalars import (NumericField, RationalFunction, SYMBOLIC, SymbolicField,
                       arith, q_bracket, specialize)
-from .ncalg import (LAURENT, PODLES, QSL2, SMASH_Z2, Grading, Monomial,
-                    NCPoly, embed_podles, express_in_podles, filtration_basis,
+from .ncalg import (LAURENT, PODLES, QSL2, SMASH_Z2, Grading, NCPoly,
+                    embed_podles, express_in_podles, filtration_basis,
                     get_algebra, grade_decompose, multiply, normal_form,
                     parse_expr, podles_degree, qsl2_degree, qsl2_weight)
 from .hopf import (Tensor, antipode, b_coproduct, coideal_membership, counit,

@@ -23,8 +23,8 @@ import time
 
 from . import duality, hochschild, koszul
 from .hopf import antipode, coideal_membership
-from .ncalg import (LAURENT, PODLES, QSL2, SMASH_Z2, embed_podles,
-                    filtration_basis, get_algebra, podles_word)
+from .ncalg import (PODLES, QSL2, embed_podles, filtration_basis,
+                    get_algebra, podles_word)
 from .scalars import SYMBOLIC, q_bracket, q_int_bracket
 
 
@@ -52,8 +52,8 @@ def check_confluence(seed=42, trials=1000, maxlen=8, field=SYMBOLIC):
     t0 = time.perf_counter()
     rng = _rng(seed, "confluence")
     mismatches = {}
-    for alg_id in (QSL2, PODLES, LAURENT, SMASH_Z2):
-        alg = get_algebra(alg_id, field)
+    ctx = get_algebra(PODLES, field).ctx
+    for alg in (ctx.A, ctx.B, ctx.C, ctx.Z2):
         bad = 0
         for _ in range(trials):
             n = rng.randint(0, maxlen)
@@ -64,8 +64,8 @@ def check_confluence(seed=42, trials=1000, maxlen=8, field=SYMBOLIC):
             right = alg.reduce_terms({word: coeff}, "rightmost")
             if left != right:
                 bad += 1
-        mismatches[alg_id] = bad
-    B = get_algebra(PODLES, field)
+        mismatches[alg.id] = bad
+    B = ctx.B
     z1 = B.gen("y1") + B.gen("y0")
     zm1 = B.gen("y-1") + B.gen("y0")
     rel = zm1 * z1 - (z1 * zm1).scale(field.q_power(2))
@@ -299,11 +299,11 @@ def check_sigma(N=8, membership_len=5, field=SYMBOLIC):
         if s(lhs) != s(rhs):
             rel_ok = False
     stab_failures = []
-    for mono in filtration_basis(B, membership_len):
-        e = embed_podles(B.monomial(mono.word))
+    for w in filtration_basis(B, membership_len):
+        e = embed_podles(B.monomial(w))
         for power in (2, -2):
             if not coideal_membership(antipode(e, power)):
-                stab_failures.append((B.render_word(mono.word), power))
+                stab_failures.append((B.render_word(w), power))
     result = {"ray_failures": inv["ray_failures"],
               "roundtrip_failures": inv["roundtrip_failures"],
               "relations_preserved": rel_ok,
@@ -321,19 +321,19 @@ def check_convolution_transes(maxlen=5, seed=42, field=SYMBOLIC):
     t0 = time.perf_counter()
     rng = _rng(seed, "transes")
     A = get_algebra(QSL2, field)
-    B = get_algebra(PODLES, field)
+    B = A.ctx.B
     tr = duality.transes_check(maxlen, None, field)
     idem_failures = []
-    for mono in filtration_basis(B, maxlen):
-        e = B.monomial(mono.word)
+    for w in filtration_basis(B, maxlen):
+        e = B.monomial(w)
         if duality.beta_projection(embed_podles(e)) != e:
-            idem_failures.append(B.render_word(mono.word))
+            idem_failures.append(B.render_word(w))
     lin_failures = 0
     pool_a = filtration_basis(A, 3)
     pool_b = filtration_basis(B, 2)
     for _ in range(100):
-        x = A.monomial(rng.choice(pool_a).word)
-        b = B.monomial(rng.choice(pool_b).word)
+        x = A.monomial(rng.choice(pool_a))
+        b = B.monomial(rng.choice(pool_b))
         if duality.beta_projection(x * embed_podles(b)) != duality.beta_projection(x) * b:
             lin_failures += 1
     result = {"transes_failures": tr["failures"],

@@ -137,14 +137,19 @@ def _emit(args, payload):
         text = json.dumps(payload, indent=2, default=str)
     elif args.format == "csv":
         buf = io.StringIO()
-        cols = ["check", "pass", "elapsed_ms", "params", "result", "expected"]
         w = csv.writer(buf)
-        w.writerow(cols)
-        for r in reports:
-            w.writerow([r.get("check"), r.get("pass"), r.get("elapsed_ms"),
-                        json.dumps(r.get("params"), default=str),
-                        json.dumps(r.get("result"), default=str),
-                        json.dumps(r.get("expected"), default=str)])
+        if "check" in reports[0]:
+            w.writerow(["check", "pass", "elapsed_ms", "params", "result",
+                        "expected"])
+            for r in reports:
+                w.writerow([r.get("check"), r.get("pass"), r.get("elapsed_ms"),
+                            json.dumps(r.get("params"), default=str),
+                            json.dumps(r.get("result"), default=str),
+                            json.dumps(r.get("expected"), default=str)])
+        else:
+            # a plain payload: its own keys, each value JSON-encoded
+            w.writerow(payload)
+            w.writerow([json.dumps(v, default=str) for v in payload.values()])
         text = buf.getvalue().rstrip("\n")
     else:
         lines = []
@@ -259,7 +264,7 @@ def run(args):
     if cmd == "omega-basis":
         A = get_algebra(QSL2, field)
         basis = duality.omega_basis(args.n, args.m, args.N, field)
-        _emit(args, {"result": [A.render_word(mono.word) for mono in basis],
+        _emit(args, {"result": [A.render_word(w) for w in basis],
                      "params": {"n": args.n, "m": args.m, "N": args.N}})
         return 0
 

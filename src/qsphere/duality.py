@@ -12,11 +12,12 @@ alone.
 
 from __future__ import annotations
 
-from .hopf import antipode, b_coproduct_grouped, coproduct, _cop_word, left_coaction
+from .hopf import (Tensor, antipode, b_coproduct_grouped, counit, _cop_word,
+                   left_coaction)
 from .hochschild import (CharacterFunctional, sigma_map,
                          validate_character_b, weight_basis_words)
 from .linalg import Echelon, axpy
-from .ncalg import (LAURENT, PODLES, QSL2, Monomial, NCPoly, embed_podles,
+from .ncalg import (LAURENT, PODLES, QSL2, NCPoly, embed_podles,
                     express_in_podles, filtration_basis, get_algebra,
                     laurent_word, podles_index)
 from .scalars import SYMBOLIC
@@ -31,20 +32,15 @@ def omega_membership(x, n, m=0):
     right-action twist and does not enter the condition)."""
     if x.alg.id != QSL2:
         raise ValueError("omega_membership expects a QSL2 element")
-    C = get_algebra(LAURENT, x.alg.field)
-    want = left_coaction(x)
     zw = laurent_word(n)
-    return want == _diagonal_tensor(C, x, zw)
-
-
-def _diagonal_tensor(C, x, zw):
-    from .hopf import Tensor
-    return Tensor(C, x.alg, {(zw, w): c for w, c in x.terms.items()})
+    return left_coaction(x) == Tensor(x.alg.ctx.C, x.alg,
+                                      {(zw, w): c for w, c in x.terms.items()})
 
 
 def omega_basis(n, m, N, field=SYMBOLIC):
-    """All basis monomials f_{l,m',n'} with l + m' - n' = n of length <= N,
-    each certified by the honest membership check."""
+    """The normal words of the basis monomials f_{l,m',n'} with
+    l + m' - n' = n of length <= N, as a sorted list, each certified by the
+    honest membership check."""
     if N < 0:
         raise ValueError("N must be >= 0")
     A = get_algebra(QSL2, field)
@@ -53,7 +49,7 @@ def omega_basis(n, m, N, field=SYMBOLIC):
         if not omega_membership(A.monomial(w), n, m):
             raise AssertionError("index arithmetic disagrees with coaction")
     out.sort(key=A.sort_key)
-    return [Monomial(QSL2, w) for w in out]
+    return out
 
 
 class OmegaModule:
@@ -100,7 +96,7 @@ def omega_product_check(n, m, i, j, N, field=SYMBOLIC):
     products = []
     for x in left:
         for y in right:
-            p = A.monomial(x.word) * antipode(A.monomial(y.word), 2 * m)
+            p = A.monomial(x) * antipode(A.monomial(y), 2 * m)
             products.append(p)
             if not p.is_zero() and not omega_membership(p, n + i):
                 failures += 1
@@ -112,7 +108,7 @@ def omega_product_check(n, m, i, j, N, field=SYMBOLIC):
     for level in range(N + 1):
         defect = 0
         for t in target:
-            if len(t.word) <= level and not span.contains({t.word: field.one}):
+            if len(t) <= level and not span.contains({t: field.one}):
                 defect += 1
         defects[level] = defect
     return {"n": n, "m": m, "i": i, "j": j, "N": N,
@@ -137,7 +133,8 @@ class Functional:
 
     A 'gamma' functional memoises its value on each basis word in `table`,
     computed once by gamma_functional on first use, so the memo lives and
-    dies with the object; __call__ extends the values linearly.
+    dies with the object; __call__ extends the values linearly.  The
+    presets of the field are reached through `ctx`.
     """
 
     def __init__(self, kind, alg_id, field=SYMBOLIC, *, values=None,
@@ -145,6 +142,7 @@ class Functional:
         self.kind = kind
         self.alg_id = alg_id
         self.field = field
+        self.ctx = get_algebra(alg_id, field).ctx
         self.values = values
         self.table = table or {}
         self.parts = parts
@@ -179,9 +177,7 @@ class Functional:
     def on_word(self, alg_id, w):
         field = self.field
         if self.kind == "counit":
-            alg = get_algebra(alg_id, field)
-            from .hopf import counit
-            return counit(alg.monomial(w))
+            return counit(self.ctx.presets[alg_id].monomial(w))
         if self.kind == "char_A":
             if alg_id != QSL2:
                 raise ValueError("char_A is a functional on QSL2")
@@ -206,8 +202,8 @@ class Functional:
                 raise ValueError("gamma is a functional on QSL2")
             v = self.table.get(w)
             if v is None:
-                A = get_algebra(QSL2, field)
-                v = self.table[w] = gamma_functional(A.monomial(w), self.values)
+                v = self.table[w] = gamma_functional(self.ctx.A.monomial(w),
+                                                     self.values)
             return v
         if self.kind == "conv":
             return _conv_word(self, alg_id, w)
@@ -240,15 +236,13 @@ def _conv_word(conv, alg_id, w):
     field = conv.field
     out = field.zero
     if alg_id == PODLES:
-        B = get_algebra(PODLES, field)
-        for lw, right in b_coproduct_grouped(B, w).items():
+        for lw, right in b_coproduct_grouped(conv.ctx.B, w).items():
             v1 = phi.on_word(PODLES, lw)
             if field.is_zero(v1):
                 continue
             out = out + v1 * psi(right)
     elif alg_id == QSL2:
-        A = get_algebra(QSL2, field)
-        for (lw, rw), c in _cop_word(A, w).items():
+        for (lw, rw), c in _cop_word(conv.ctx.A, w).items():
             v1 = phi.on_word(QSL2, lw)
             if field.is_zero(v1):
                 continue
@@ -301,16 +295,15 @@ def transes_check(maxlen=5, chi=None, field=SYMBOLIC):
     """(chi * gamma)(b) = counit(b) for every sphere basis monomial with
     i + |j| <= maxlen, with gamma built from the same chi and the product
     the convolution restricted to the sphere."""
-    from .hopf import counit
     B = get_algebra(PODLES, field)
     if chi is None:
         chi = Functional.counit(PODLES, field)
     product = convolution(chi, Functional.gamma(chi, field))
     failures = []
-    for mono in filtration_basis(B, maxlen):
-        total = product.on_word(PODLES, mono.word)
-        if total != counit(B.monomial(mono.word)):
-            failures.append(B.render_word(mono.word))
+    for w in filtration_basis(B, maxlen):
+        total = product.on_word(PODLES, w)
+        if total != counit(B.monomial(w)):
+            failures.append(B.render_word(w))
     return {"maxlen": maxlen, "failures": failures, "pass": not failures}
 
 
@@ -327,15 +320,15 @@ def sigma_inverse_check(N, field=SYMBOLIC):
     gamma = Functional.gamma(None, field)
     ray_failures = []
     roundtrip_failures = []
-    for mono in filtration_basis(B, N):
-        e = B.monomial(mono.word)
+    for w in filtration_basis(B, N):
+        e = B.monomial(w)
         s = sigma_map(e)
-        i, j = podles_index(mono.word)
+        i, j = podles_index(w)
         if s != e.scale(field.q_power(-2 * j)):
-            ray_failures.append(B.render_word(mono.word))
+            ray_failures.append(B.render_word(w))
         back = sigma_inverse_apply(embed_podles(s), gamma)
         if back != e:
-            roundtrip_failures.append(B.render_word(mono.word))
+            roundtrip_failures.append(B.render_word(w))
     return {"N": N, "ray_failures": ray_failures,
             "roundtrip_failures": roundtrip_failures,
             "pass": not ray_failures and not roundtrip_failures}

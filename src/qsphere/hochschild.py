@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from .hopf import Tensor, antipode, b_coproduct_grouped, coproduct, _cop_word
+from .hopf import Tensor, antipode, b_coproduct_grouped, _cop_word
 from .linalg import axpy, nullspace
 from .ncalg import (PODLES, QSL2, NCPoly, embed_podles, express_in_podles,
                     filtration_basis, get_algebra, qsl2_index,
@@ -40,7 +40,7 @@ class Bimodule:
         self.field = field
         self.twist = twist
         self.B = get_algebra(PODLES, field)
-        self.A = get_algebra(QSL2, field)
+        self.A = self.B.ctx.A
 
     def zero(self):
         if self.kind == "B":
@@ -51,12 +51,6 @@ class Bimodule:
 
     def is_zero(self, v):
         return v.is_zero()
-
-    def scale(self, c, v):
-        return v.scale(c)
-
-    def add(self, v1, v2):
-        return v1 + v2
 
     def left_word(self, w, v):
         """Left action of the sphere basis monomial w."""
@@ -101,7 +95,7 @@ class Bimodule:
         return out
 
     def random_value(self, rng, size=2):
-        pool_b = [m.word for m in filtration_basis(self.B, 2)]
+        pool_b = filtration_basis(self.B, 2)
         coeffs = [self.field.q_power(k) for k in (-2, -1, 0, 1, 2)]
         ints = [self.field.from_int(k) for k in (-2, -1, 1, 2)]
         if self.kind == "B":
@@ -110,7 +104,7 @@ class Bimodule:
                 c = rng.choice(coeffs) * rng.choice(ints)
                 out = out + NCPoly(self.B, {rng.choice(pool_b): c})
             return out
-        pool_a = [m.word for m in filtration_basis(self.A, 2)]
+        pool_a = filtration_basis(self.A, 2)
         if self.kind == "A_twist":
             out = self.A.zero()
             for _ in range(size):
@@ -290,6 +284,7 @@ class CharacterFunctional:
             raise ValueError("character parameter must be nonzero")
         self.t = t
         self.field = field
+        self.ctx = get_algebra(QSL2, field).ctx
 
     def on_word(self, w):
         l, m, n = qsl2_index(w)
@@ -317,17 +312,15 @@ class CharacterFunctional:
 
     def act_sphere_word(self, w):
         """X.m = m_(1) X(m_(2)) for a sphere basis word, as {word: coeff}."""
-        B = get_algebra(PODLES, self.field)
         return axpy({}, ((lw, self.on_poly(right)) for lw, right
-                         in b_coproduct_grouped(B, w).items()),
+                         in b_coproduct_grouped(self.ctx.B, w).items()),
                     self.field.is_zero)
 
     def act_qsl2_word(self, w):
         """X.a = a_(1) X(a_(2)) for a QSL2 basis word, as {word: coeff}."""
-        A = get_algebra(QSL2, self.field)
         zero = self.field.is_zero
         values = ((lw, c, self.on_word(rw))
-                  for (lw, rw), c in _cop_word(A, w).items())
+                  for (lw, rw), c in _cop_word(self.ctx.A, w).items())
         # a zero value is dropped before it costs a multiplication
         return axpy({}, ((lw, c * v) for lw, c, v in values if not zero(v)),
                     zero)
@@ -376,15 +369,13 @@ def cochains_equal(c1, c2, tuples):
 
 def argument_window(degree, level, field=SYMBOLIC):
     """All degree-tuples of sphere basis words of length <= level."""
-    B = get_algebra(PODLES, field)
-    pool = [m.word for m in filtration_basis(B, level)]
+    pool = filtration_basis(get_algebra(PODLES, field), level)
     return list(itertools.product(pool, repeat=degree))
 
 
 def random_cochain(rng, degree, carrier, support=3, entries=4):
     """A sparse random cochain with the given support filtration."""
-    B = carrier.B
-    pool = [m.word for m in filtration_basis(B, support)]
+    pool = filtration_basis(carrier.B, support)
     table = {}
     for _ in range(entries):
         key = tuple(rng.choice(pool) for _ in range(degree))
@@ -393,8 +384,7 @@ def random_cochain(rng, degree, carrier, support=3, entries=4):
 
 
 def random_argument_tuples(rng, degree, level, count, field=SYMBOLIC):
-    B = get_algebra(PODLES, field)
-    pool = [m.word for m in filtration_basis(B, level)]
+    pool = filtration_basis(get_algebra(PODLES, field), level)
     return [tuple(rng.choice(pool) for _ in range(degree)) for _ in range(count)]
 
 
@@ -424,7 +414,7 @@ def h0_twisted_center(i, j, N, field=SYMBOLIC):
     if N < 2 * j + abs(i) + 2:
         raise ValueError(f"need N >= {2 * j + abs(i) + 2} for (i, j) = ({i}, {j})")
     A = get_algebra(QSL2, field)
-    B = get_algebra(PODLES, field)
+    B = A.ctx.B
     cols = weight_basis_words(i, N)
     gens = [embed_podles(B.gen(g)) for g in ("y-1", "y0", "y1")]
     eqs = {}
@@ -489,8 +479,7 @@ def sigma_map(p, chi=None):
     vm, v0, vp = (field.from_int(v) if isinstance(v, int) else v for v in chi)
     chi = Functional.char_B(vm, v0, vp, field)
     B = p.alg
-    A = get_algebra(QSL2, field)
-    acc = A.zero()
+    acc = B.ctx.A.zero()
     for w, c in p.terms.items():
         for lw, right in b_coproduct_grouped(B, w).items():
             cv = chi.on_word(PODLES, lw)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .linalg import axpy
 from .ncalg import (LAURENT, PODLES, QSL2, SMASH_Z2, NCPoly, embed_podles,
-                    express_in_podles, get_algebra, laurent_word, qsl2_index)
+                    express_in_podles, laurent_word, qsl2_index)
 
 
 class Tensor:
@@ -127,9 +127,6 @@ _COP_GEN = {
                1: [((), (1,)), ((1,), (0,))]},    # y -> 1(x)y + y(x)x
 }
 
-_COP_CACHE = {}
-
-
 def coproduct(p):
     """Sweedler coproduct as a canonical Tensor.
 
@@ -149,15 +146,15 @@ def coproduct(p):
 
 def _cop_word(alg, w):
     """Delta(w) of a normal word as a dict {(left word, right word): coeff}
-    (cached per algebra and word).
+    (cached on the preset).
 
     Delta(w) = Delta(w[:-1]) * Delta(w[-1]): every term of the cached prefix
     coproduct is multiplied, leg by leg through mul_words, by each Sweedler
     term of the last generator (prefix term outer, generator term inner),
     and multiplications by the field's one are skipped.
     """
-    key = (id(alg), w)
-    hit = _COP_CACHE.get(key)
+    cache = alg._cop_cache
+    hit = cache.get(w)
     if hit is not None:
         return hit
     field = alg.field
@@ -184,11 +181,8 @@ def _cop_word(alg, w):
                                 del res[k]
                                 continue
                         res[k] = v
-    _COP_CACHE[key] = res
+    cache[w] = res
     return res
-
-
-_BCOP_CACHE = {}
 
 
 def b_coproduct_word(B, w):
@@ -198,11 +192,11 @@ def b_coproduct_word(B, w):
     First legs of Delta(B) lie in B (x) A; a first leg outside the weight-0
     span would falsify that and raises.
     """
-    key = (id(B), w)
-    hit = _BCOP_CACHE.get(key)
+    cache = B.ctx._bcop_cache
+    hit = cache.get(w)
     if hit is not None:
         return hit
-    A = get_algebra(QSL2, B.field)
+    A = B.ctx.A
     emb = embed_podles(NCPoly(B, {w: B.field.one}))
     items = []
     for aw, c in emb.terms.items():
@@ -210,7 +204,7 @@ def b_coproduct_word(B, w):
             e = express_in_podles(NCPoly(A, {lw: A.field.one}))
             (ew, eu), = e.terms.items()
             items.append(((ew, rw), c * cc * eu))
-    out = _BCOP_CACHE[key] = axpy({}, items, B.field.is_zero)
+    out = cache[w] = axpy({}, items, B.field.is_zero)
     return out
 
 
@@ -218,8 +212,7 @@ def b_coproduct(p):
     """Coproduct of a sphere element as a Tensor with legs PODLES (x) QSL2."""
     if p.alg.id != PODLES:
         raise ValueError("b_coproduct expects a PODLES element")
-    A = get_algebra(QSL2, p.alg.field)
-    out = Tensor.zero(p.alg, A)
+    out = Tensor.zero(p.alg, p.alg.ctx.A)
     for w, c in p.terms.items():
         for (lw, rw), cc in b_coproduct_word(p.alg, w).items():
             out.add_term(lw, rw, c * cc)
@@ -229,7 +222,7 @@ def b_coproduct(p):
 def b_coproduct_grouped(B, w):
     """b_coproduct of a basis word grouped by first leg:
     dict {sphere word: NCPoly over QSL2 summing the matching right legs}."""
-    A = get_algebra(QSL2, B.field)
+    A = B.ctx.A
     groups = {}
     for (lw, rw), c in b_coproduct_word(B, w).items():
         groups.setdefault(lw, {})[rw] = c
@@ -328,7 +321,7 @@ def project_pi(p):
     """pi(a)=z, pi(d)=z^-1, pi(b)=pi(c)=0; on basis words a Kronecker delta."""
     if p.alg.id != QSL2:
         raise ValueError("project_pi expects a QSL2 element")
-    C = get_algebra(LAURENT, p.alg.field)
+    C = p.alg.ctx.C
     out = C.zero()
     for w, c in p.terms.items():
         l, m, n = qsl2_index(w)
@@ -341,8 +334,7 @@ def left_coaction(p):
     """(pi (x) id) o Delta, a Tensor with legs LAURENT (x) QSL2."""
     if p.alg.id != QSL2:
         raise ValueError("left_coaction expects a QSL2 element")
-    C = get_algebra(LAURENT, p.alg.field)
-    out = Tensor.zero(C, p.alg)
+    out = Tensor.zero(p.alg.ctx.C, p.alg)
     for w, c in p.terms.items():
         for (lw, rw), cc in _cop_word(p.alg, w).items():
             l, m, n = qsl2_index(lw)
@@ -353,8 +345,7 @@ def left_coaction(p):
 
 def coideal_membership(p):
     """True iff left_coaction(p) = 1 (x) p, i.e. p lies in the sphere."""
-    C = get_algebra(LAURENT, p.alg.field)
-    want = Tensor(C, p.alg, {((), w): c for w, c in p.terms.items()})
+    want = Tensor(p.alg.ctx.C, p.alg, {((), w): c for w, c in p.terms.items()})
     return left_coaction(p) == want
 
 

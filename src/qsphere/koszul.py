@@ -25,8 +25,8 @@ fields and the tests.
 from __future__ import annotations
 
 from .linalg import Echelon, nullspace
-from .ncalg import (PODLES, Monomial, filtration_basis, get_algebra,
-                    podles_index, podles_word)
+from .ncalg import (PODLES, filtration_basis, get_algebra, podles_index,
+                    podles_word)
 from .scalars import SYMBOLIC, q_bracket
 
 
@@ -56,8 +56,8 @@ def koszul_d2_d1_zero(maxlen=6, field=SYMBOLIC):
     rel = K.zm1 * K.z1 - (K.z1 * K.zm1).scale(K.lam)
     if not rel.is_zero():
         return False
-    for m in filtration_basis(K.B, maxlen):
-        if not K.d1(K.d2(K.B.monomial(m.word))).is_zero():
+    for w in filtration_basis(K.B, maxlen):
+        if not K.d1(K.d2(K.B.monomial(w))).is_zero():
             return False
     return True
 
@@ -91,16 +91,16 @@ def exactness_check(N, field=SYMBOLIC):
 
     # H2: rows of d2 restricted to F_N
     eqs = {}
-    for m in basis_N:
-        img = _pair_vec(K.d2(B.monomial(m.word)))
+    for w in basis_N:
+        img = _pair_vec(K.d2(B.monomial(w)))
         for key, c in img.items():
-            eqs.setdefault(key, {})[m.word] = c
-    ker2 = nullspace(field, eqs.values(), [m.word for m in basis_N])
+            eqs.setdefault(key, {})[w] = c
+    ker2 = nullspace(field, eqs.values(), basis_N)
     h2_defect = len(ker2)
 
     # H1: kernel of d1 on F_N (+) F_N ...
     eqs = {}
-    cols = [(t, m.word) for t in (0, 1) for m in basis_N]
+    cols = [(t, w) for t in (0, 1) for w in basis_N]
     for t, w in cols:
         p = B.monomial(w)
         img = K.d1((p, B.zero())) if t == 0 else K.d1((B.zero(), p))
@@ -110,8 +110,8 @@ def exactness_check(N, field=SYMBOLIC):
 
     # ... contained in d2(F_{N+1})?
     image = Echelon(field)
-    for m in basis_N1:
-        image.add(_pair_vec(K.d2(B.monomial(m.word))))
+    for w in basis_N1:
+        image.add(_pair_vec(K.d2(B.monomial(w))))
     h1_defect = 0
     for vec in kernel:
         if image.add(vec) is not None:
@@ -130,26 +130,23 @@ def _is_quotient_word(word):
     return j == 0 or i == 0 and j > 0
 
 
-_NU_CACHE = {}
-
-
 def _nu_echelon(field, L):
-    """Echelon of B*z-1 within filtration L, pivoted on reducible words."""
-    key = (field, L)
-    hit = _NU_CACHE.get(key)
+    """Echelon of B*z-1 within filtration L, pivoted on reducible words
+    (cached on the context)."""
+    B = get_algebra(PODLES, field)
+    cache = B.ctx._nu_cache
+    hit = cache.get(L)
     if hit is not None:
         return hit
-    B = get_algebra(PODLES, field)
     zm1 = B.gen("y-1") + B.gen("y0")
 
     def order(word):
-        i, j = podles_index(word)
         return (1 if _is_quotient_word(word) else 0, len(word), word)
 
     ech = Echelon(field, column_order=order)
-    for m in filtration_basis(B, L - 1) if L >= 1 else []:
-        ech.add((B.monomial(m.word) * zm1).terms)
-    _NU_CACHE[key] = ech
+    for w in filtration_basis(B, L - 1) if L >= 1 else ():
+        ech.add((B.monomial(w) * zm1).terms)
+    cache[L] = ech
     return ech
 
 
@@ -257,7 +254,7 @@ class TruncatedMap:
         self.domain_basis = list(domain_basis)
         self.codomain_basis = list(codomain_basis)
         self.N_cod = N_cod
-        index = {m.word: r for r, m in enumerate(self.codomain_basis)}
+        index = {w: r for r, w in enumerate(self.codomain_basis)}
         rows = len(self.codomain_basis)
         self.matrix = [[field.zero] * len(self.domain_basis) for _ in range(rows)]
         for c, img in enumerate(images):
@@ -276,12 +273,12 @@ class TruncatedMap:
 
 
 def quotient_level_basis(j):
-    """The filtration piece V_j of B/B*z-1:
-    [nu(y0), ..., nu(y0^(j+1)), nu(1), nu(y1), ..., nu(y1^j)]."""
+    """The filtration piece V_j of B/B*z-1 as a list of the representing
+    sphere words: [nu(y0), ..., nu(y0^(j+1)), nu(1), nu(y1), ..., nu(y1^j)]."""
     words = [podles_word(k, 0) for k in range(1, j + 2)]
     words.append(())
     words += [podles_word(0, k) for k in range(1, j + 1)]
-    return [Monomial(PODLES, w) for w in words]
+    return words
 
 
 def zeta_matrix(jmax, field=SYMBOLIC):
@@ -302,11 +299,11 @@ def zeta_matrix(jmax, field=SYMBOLIC):
     z1 = B.gen("y1") + B.gen("y0")
     dom = quotient_level_basis(jmax)
     cod = quotient_level_basis(jmax + 1)
-    images = [nu_reduce(B.monomial(m.word) * z1) for m in dom]
+    images = [nu_reduce(B.monomial(w) * z1) for w in dom]
     tmap = TruncatedMap(field, dom, cod, images, N_cod=jmax + 2)
 
     from .linalg import determinant
-    rows = {m.word: r for r, m in enumerate(cod)}
+    rows = {w: r for r, w in enumerate(cod)}
     j1 = jmax + 1
     diag = [tmap.matrix[rows[podles_word(k, 0)]][k - 1] for k in range(1, j1 + 1)]
     sub = [tmap.matrix[rows[podles_word(k + 1, 0)]][k - 1] for k in range(1, j1 + 1)]
@@ -367,14 +364,14 @@ def ext_counit_module(N, field=SYMBOLIC):
 
     # degree 0: kernel of f |-> (z1*f, z-1*f)
     eqs = {}
-    for m in basis_N:
-        img = _pair_vec((z1 * B.monomial(m.word), zm1 * B.monomial(m.word)))
+    for w in basis_N:
+        img = _pair_vec((z1 * B.monomial(w), zm1 * B.monomial(w)))
         for key, c in img.items():
-            eqs.setdefault(key, {})[m.word] = c
-    d0 = len(nullspace(field, eqs.values(), [m.word for m in basis_N]))
+            eqs.setdefault(key, {})[w] = c
+    d0 = len(nullspace(field, eqs.values(), basis_N))
 
     # degree 1: kernel of (f,g) |-> q^-1*z-1*f - q*z1*g vs image from above
-    cols = [(t, m.word) for t in (0, 1) for m in basis_N]
+    cols = [(t, w) for t in (0, 1) for w in basis_N]
     eqs = {}
     for t, w in cols:
         p = B.monomial(w)
@@ -383,8 +380,8 @@ def ext_counit_module(N, field=SYMBOLIC):
             eqs.setdefault(iw, {})[(t, w)] = c
     kernel = nullspace(field, eqs.values(), cols)
     image = Echelon(field)
-    for m in basis_N1:
-        p = B.monomial(m.word)
+    for w in basis_N1:
+        p = B.monomial(w)
         image.add(_pair_vec((z1 * p, zm1 * p)))
     d1 = sum(1 for vec in kernel if image.add(vec) is not None)
 
@@ -394,8 +391,8 @@ def ext_counit_module(N, field=SYMBOLIC):
         return (0 if len(word) > N else 1, -len(word), word)
 
     ideal = Echelon(field, column_order=order)
-    for m in basis_N1:
-        p = B.monomial(m.word)
+    for w in basis_N1:
+        p = B.monomial(w)
         ideal.add((zm1 * p).terms)
         ideal.add((z1 * p).terms)
     inside = sum(1 for piv in ideal.rows if len(piv) <= N)

@@ -15,7 +15,13 @@ The rewriting systems are small and confluence is established by property
 testing rather than a completion proof.
 
 Words are tuples of generator indices; polynomials are sparse dicts mapping
-normal words to nonzero field coefficients.
+normal words to nonzero field coefficients.  Bases are plain sequences of
+normal words (filtration_basis returns a cached tuple).
+
+One Context per coefficient field value holds the four presets (ctx.A,
+ctx.B, ctx.C, ctx.Z2) and every cache of computed structure; each preset
+reaches its companions through preset.ctx, and get_algebra is the one
+lookup from a field to them.
 """
 
 from __future__ import annotations
@@ -29,29 +35,6 @@ QSL2 = "QSL2"
 PODLES = "PODLES"
 LAURENT = "LAURENT"
 SMASH_Z2 = "SMASH_Z2"
-
-
-class Monomial:
-    """A normal-form basis monomial of one preset algebra."""
-
-    __slots__ = ("alg_id", "word")
-
-    def __init__(self, alg_id, word):
-        self.alg_id = alg_id
-        self.word = tuple(word)
-
-    def __eq__(self, other):
-        return (isinstance(other, Monomial)
-                and self.alg_id == other.alg_id and self.word == other.word)
-
-    def __hash__(self):
-        return hash((self.alg_id, self.word))
-
-    def __len__(self):
-        return len(self.word)
-
-    def __repr__(self):
-        return f"Monomial({self.alg_id}, {self.word})"
 
 
 class Grading:
@@ -72,16 +55,23 @@ class AlgebraPreset:
     of (coefficient, word) pairs.  Rewriting any occurrence of any left-hand
     side terminates and (by testing) is confluent, so normal forms do not
     depend on the reduction strategy.
+
+    Per-preset caches: normal forms of word products (_mul_cache), word
+    coproducts (_cop_cache, filled by hopf._cop_word) and filtration bases
+    (_basis_cache).
     """
 
-    def __init__(self, alg_id, gens, rules, sort_ranks, field):
+    def __init__(self, ctx, alg_id, gens, rules, sort_ranks):
+        self.ctx = ctx
         self.id = alg_id
         self.gens = tuple(gens)
-        self.field = field
+        self.field = ctx.field
         self.rules = rules
         self.sort_ranks = tuple(sort_ranks)
         self.gen_index = {g: i for i, g in enumerate(self.gens)}
         self._mul_cache = {}
+        self._cop_cache = {}
+        self._basis_cache = {}
 
     def __repr__(self):
         return f"AlgebraPreset({self.id}, field={self.field.name})"
@@ -285,29 +275,26 @@ def _is_simple(cs):
 # preset construction
 # ---------------------------------------------------------------------------
 
-_ALGEBRAS = {}
+class Context:
+    """The four presets over one coefficient field: A = QSL2, B = PODLES,
+    C = LAURENT and Z2 = SMASH_Z2, each pointing back here through .ctx.
 
+    Caches of the sphere inside QSL2: images of sphere words (_embed_cache,
+    filled by _embed_word), sphere-word coproducts (_bcop_cache, filled by
+    hopf.b_coproduct_word) and the echelons of the left ideal B*z-1 per
+    filtration level (_nu_cache, filled by koszul._nu_echelon).  Like the
+    per-preset caches they are unbounded and live as long as the process.
+    """
 
-def get_algebra(alg_id, field=SYMBOLIC):
-    """The preset algebra bound to a coefficient field (cached per field
-    value, so equal fields share one preset and their elements mix)."""
-    key = (alg_id, field)
-    alg = _ALGEBRAS.get(key)
-    if alg is None:
-        alg = _build(alg_id, field)
-        _ALGEBRAS[key] = alg
-    return alg
-
-
-def _build(alg_id, field):
-    one = field.one
-    qp = field.q_power
-    if alg_id == QSL2:
+    def __init__(self, field):
+        self.field = field
+        one = field.one
+        qp = field.q_power
         # generators a=0 d=1 b=2 c=3; normal words are a^l b^m c^n and
         # d^k b^m c^n.  Putting a and d in front makes them adjacent in any
         # sorted word, so the ad/da rules always fire and the two are
         # mutually exclusive in normal form.
-        rules = {
+        self.A = AlgebraPreset(self, QSL2, ("a", "d", "b", "c"), {
             (2, 0): [(qp(-1), (0, 2))],            # ba -> q^-1 ab
             (3, 0): [(qp(-1), (0, 3))],            # ca -> q^-1 ac
             (3, 2): [(one, (2, 3))],               # cb -> bc
@@ -315,30 +302,42 @@ def _build(alg_id, field):
             (3, 1): [(qp(1), (1, 3))],             # cd -> q dc
             (0, 1): [(one, ()), (qp(1), (2, 3))],  # ad -> 1 + q bc
             (1, 0): [(one, ()), (qp(-1), (2, 3))], # da -> 1 + q^-1 bc
-        }
-        return AlgebraPreset(QSL2, ("a", "d", "b", "c"), rules, (0, 3, 1, 2), field)
-    if alg_id == PODLES:
+        }, (0, 3, 1, 2))
         # generators y0=0 y1=1 y-1=2; normal words are y0^i y1^j / y0^i y-1^j
-        rules = {
+        self.B = AlgebraPreset(self, PODLES, ("y0", "y1", "y-1"), {
             (1, 0): [(qp(-2), (0, 1))],
             (2, 0): [(qp(2), (0, 2))],
             (1, 2): [(qp(-2), (0, 0)), (qp(-1), (0,))],
             (2, 1): [(qp(2), (0, 0)), (qp(1), (0,))],
-        }
-        return AlgebraPreset(PODLES, ("y0", "y1", "y-1"), rules, (1, 2, 0), field)
-    if alg_id == LAURENT:
-        rules = {
+        }, (1, 2, 0))
+        self.C = AlgebraPreset(self, LAURENT, ("z", "zinv"), {
             (0, 1): [(one, ())],
             (1, 0): [(one, ())],
-        }
-        return AlgebraPreset(LAURENT, ("z", "zinv"), rules, (0, 1), field)
-    if alg_id == SMASH_Z2:
-        rules = {
+        }, (0, 1))
+        self.Z2 = AlgebraPreset(self, SMASH_Z2, ("x", "y"), {
             (0, 0): [(one, ())],
             (1, 0): [(field.from_int(-1), (0, 1))],
-        }
-        return AlgebraPreset(SMASH_Z2, ("x", "y"), rules, (0, 1), field)
-    raise ValueError(f"unknown algebra preset {alg_id!r}")
+        }, (0, 1))
+        self.presets = {a.id: a for a in (self.A, self.B, self.C, self.Z2)}
+        self._embed_cache = {}
+        self._bcop_cache = {}
+        self._nu_cache = {}
+
+
+_CONTEXTS = {}
+
+
+def get_algebra(alg_id, field=SYMBOLIC):
+    """The preset algebra bound to a coefficient field.  There is one
+    Context per field value, so equal fields share presets and caches and
+    their elements mix."""
+    ctx = _CONTEXTS.get(field)
+    if ctx is None:
+        ctx = _CONTEXTS[field] = Context(field)
+    alg = ctx.presets.get(alg_id)
+    if alg is None:
+        raise ValueError(f"unknown algebra preset {alg_id!r}")
+    return alg
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +409,19 @@ def grade_decompose(p, grading):
 # filtration bases
 # ---------------------------------------------------------------------------
 
-_BASIS_CACHE = {}
-
-
 def filtration_basis(alg, N):
-    """All normal monomials of word length <= N, deterministically ordered."""
+    """All normal words of length <= N as a tuple, deterministically ordered
+    (cached on the preset)."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    key = (alg.id, N)
-    hit = _BASIS_CACHE.get(key)
+    hit = alg._basis_cache.get(N)
     if hit is not None:
         return hit
+    if alg.id == LAURENT:
+        # in exponent order z^-N, ..., z^N rather than by sort_key
+        out = alg._basis_cache[N] = tuple(
+            laurent_word(k) for k in range(-N, N + 1))
+        return out
     words = []
     if alg.id == PODLES:
         for i in range(N + 1):
@@ -431,20 +432,12 @@ def filtration_basis(alg, N):
             for m in range(N - abs(l) + 1):
                 for n in range(N - abs(l) - m + 1):
                     words.append(qsl2_word(l, m, n))
-    elif alg.id == LAURENT:
-        words = [laurent_word(k) for k in range(-N, N + 1)]
-        out = [Monomial(alg.id, w) for w in words]
-        _BASIS_CACHE[key] = out
-        return out
-    elif alg.id == SMASH_Z2:
+    else:
         for e in (0, 1):
             for i in range(N - e + 1):
                 words.append((0,) * e + (1,) * i)
-    else:
-        raise ValueError(f"no basis enumeration for {alg.id}")
     words.sort(key=alg.sort_key)
-    out = [Monomial(alg.id, w) for w in words]
-    _BASIS_CACHE[key] = out
+    out = alg._basis_cache[N] = tuple(words)
     return out
 
 
@@ -498,7 +491,7 @@ def embed_podles(p):
     """Algebra embedding of the sphere into QSL2."""
     if p.alg.id != PODLES:
         raise ValueError("embed_podles expects a PODLES element")
-    A = get_algebra(QSL2, p.alg.field)
+    A = p.alg.ctx.A
     out = A.zero()
     for w, c in p.terms.items():
         mono, unit = _embed_word(p.alg, w)
@@ -506,16 +499,14 @@ def embed_podles(p):
     return out
 
 
-_EMBED_CACHE = {}
-
-
 def _embed_word(B, w):
-    """Image of a normal sphere word: a single QSL2 word with a unit coefficient."""
-    key = (id(B), w)
-    hit = _EMBED_CACHE.get(key)
+    """Image of a normal sphere word: a single QSL2 word with a unit
+    coefficient (cached on the context)."""
+    cache = B.ctx._embed_cache
+    hit = cache.get(w)
     if hit is not None:
         return hit
-    A = get_algebra(QSL2, B.field)
+    A = B.ctx.A
     free = ()
     for g in w:
         free = free + _EMBED_GEN_WORDS[g]
@@ -523,7 +514,7 @@ def _embed_word(B, w):
     if len(terms) != 1:
         raise AssertionError("sphere monomial image is not monomial")
     (mono, unit), = terms.items()
-    _EMBED_CACHE[key] = (mono, unit)
+    cache[w] = (mono, unit)
     return mono, unit
 
 
@@ -535,7 +526,7 @@ def express_in_podles(p):
     """
     if p.alg.id != QSL2:
         raise ValueError("express_in_podles expects a QSL2 element")
-    B = get_algebra(PODLES, p.alg.field)
+    B = p.alg.ctx.B
     out = B.zero()
     for w, c in p.terms.items():
         l, m, n = qsl2_index(w)

@@ -526,6 +526,12 @@ class SymbolicField:
     def render(x):
         return x.render()
 
+    def __eq__(self, other):
+        return isinstance(other, SymbolicField)
+
+    def __hash__(self):
+        return hash(SymbolicField)
+
     def __repr__(self):
         return "SymbolicField()"
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -116,6 +118,17 @@ def test_csv_and_out_file(tmp_path, capsys):
     lines = target.read_text().strip().splitlines()
     assert lines[0].startswith("check,pass")
     assert "koszul-exactness" in lines[1]
+
+
+def test_csv_of_a_plain_payload_keeps_its_keys(capsys):
+    _, out, _ = run_cli(capsys, "member", "b*c")
+    coaction = json.loads(out)["coaction"]
+    code, out, _ = run_cli(capsys, "--format", "csv", "member", "b*c")
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert list(row) == ["result", "coaction"]
+    assert json.loads(row["result"]) is True
+    assert json.loads(row["coaction"]) == coaction
 
 
 def test_env_override(monkeypatch, capsys):

@@ -57,9 +57,9 @@ def test_cop_word_matches_tensor_products(field):
     for alg_id in (QSL2, LAURENT, SMASH_Z2):
         alg = get_algebra(alg_id, field)
         for m in filtration_basis(alg, 6):
-            want = _cop_word_by_tensors(alg, m.word)
-            assert list(_cop_word(alg, m.word).items()) == list(want.items()), \
-                (alg_id, m.word)
+            want = _cop_word_by_tensors(alg, m)
+            assert list(_cop_word(alg, m).items()) == list(want.items()), \
+                (alg_id, m)
 
 
 def test_counit():
@@ -84,7 +84,7 @@ def test_antipode_examples():
 def test_antipode_inverse_composition():
     for alg in (A, S, L):
         for m in filtration_basis(alg, 3):
-            p = mono(alg, m.word)
+            p = mono(alg, m)
             assert antipode(antipode(p, 1), -1) == p
             assert antipode(antipode(p, -1), 1) == p
             assert antipode(antipode(p, 2), -2) == p
@@ -104,9 +104,9 @@ def test_project_pi():
     assert project_pi(A.gen("a") * A.gen("d")) == L.one()
     # pi(f_lmn) = delta_m0 delta_n0 z^l on the whole basis
     for m in filtration_basis(A, 4):
-        img = project_pi(mono(A, m.word))
+        img = project_pi(mono(A, m))
         from qsphere.ncalg import qsl2_index, laurent_word
-        l, mm, nn = qsl2_index(m.word)
+        l, mm, nn = qsl2_index(m)
         if mm or nn:
             assert img.is_zero()
         else:
@@ -117,7 +117,7 @@ def test_pi_is_coalgebra_map():
     # (pi (x) pi) Delta = Delta_C pi on basis words of length <= 4
     for m in filtration_basis(A, 4):
         lhs = {}
-        for (lw, rw), c in _cop_word(A, m.word).items():
+        for (lw, rw), c in _cop_word(A, m).items():
             pl = project_pi(mono(A, lw))
             pr = project_pi(mono(A, rw))
             t = Tensor.of(pl, pr).scale(c)
@@ -125,7 +125,7 @@ def test_pi_is_coalgebra_map():
                 lhs[k] = lhs.get(k, ZERO) + v
         lhs = {k: v for k, v in lhs.items() if v}
         rhs = {}
-        for w, c in project_pi(mono(A, m.word)).terms.items():
+        for w, c in project_pi(mono(A, m)).terms.items():
             rhs[(w, w)] = c  # grouplike coproduct on the Laurent quotient
         assert lhs == rhs
 
@@ -142,16 +142,16 @@ def test_left_coaction_and_membership():
 
 def test_coideal_property_of_sphere_basis():
     for m in filtration_basis(B, 5):
-        assert coideal_membership(embed_podles(mono(B, m.word)))
+        assert coideal_membership(embed_podles(mono(B, m)))
 
 
 def test_s2_stability_and_ray_scaling():
     for m in filtration_basis(B, 5):
-        e = embed_podles(mono(B, m.word))
+        e = embed_podles(mono(B, m))
         for power in (2, -2):
             assert coideal_membership(antipode(e, power))
-        i, j = podles_index(m.word)
-        assert antipode(mono(B, m.word), 2) == mono(B, m.word).scale(
+        i, j = podles_index(m)
+        assert antipode(mono(B, m), 2) == mono(B, m).scale(
             SYMBOLIC.q_power(-2 * j))
 
 
@@ -172,8 +172,8 @@ def _triple(alg, w, side):
 def test_coassociativity_counit_antipode_laws():
     for alg, maxlen in ((A, 4), (L, 4), (S, 4)):
         for m in filtration_basis(alg, maxlen):
-            assert _triple(alg, m.word, "left") == _triple(alg, m.word, "right")
-            p = mono(alg, m.word)
+            assert _triple(alg, m, "left") == _triple(alg, m, "right")
+            p = mono(alg, m)
             t = coproduct(p)
             left = alg.zero()
             right = alg.zero()
@@ -193,11 +193,11 @@ def test_coassociativity_counit_antipode_laws():
 def test_b_coproduct_first_legs_in_sphere():
     # Delta(B) sits in B (x) A; the grouped table certifies it on each call
     for m in filtration_basis(B, 4):
-        groups = b_coproduct_grouped(B, m.word)
+        groups = b_coproduct_grouped(B, m)
         total = Tensor.zero(B, A)
         for lw, right in groups.items():
             total = total + Tensor.of(mono(B, lw), right)
-        assert total == b_coproduct(mono(B, m.word))
+        assert total == b_coproduct(mono(B, m))
 
 
 def test_b_coproduct_coassociativity():
@@ -205,7 +205,7 @@ def test_b_coproduct_coassociativity():
     for m in filtration_basis(B, 3):
         lhs = {}
         rhs = {}
-        for lw, right in b_coproduct_grouped(B, m.word).items():
+        for lw, right in b_coproduct_grouped(B, m).items():
             for lw2, right2 in b_coproduct_grouped(B, lw).items():
                 for (rw2, rw), c in Tensor.of(right2, right).terms.items():
                     k = (lw2, rw2, rw)
@@ -222,7 +222,7 @@ def test_b_coproduct_coassociativity():
                         rhs[k] = acc
                     else:
                         rhs.pop(k, None)
-        assert lhs == rhs, B.render_word(m.word)
+        assert lhs == rhs, B.render_word(m)
 
 
 def test_rho_intertwines_and_inverts():

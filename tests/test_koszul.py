@@ -6,7 +6,7 @@ from qsphere.koszul import (KoszulComplex, TruncatedMap, exactness_check,
                             ext_counit_module, koszul_d2_d1_zero,
                             nu_closed_form, nu_reduce, nu_reduce_oracle,
                             quotient_level_basis, zeta_matrix)
-from qsphere.ncalg import (PODLES, Monomial, NCPoly, filtration_basis,
+from qsphere.ncalg import (PODLES, NCPoly, filtration_basis,
                            get_algebra, grade_decompose, podles_degree,
                            podles_word)
 from qsphere.scalars import ONE, Q, SYMBOLIC
@@ -77,11 +77,11 @@ def test_residue_classes_linearly_independent():
 def test_zeta_matrix_structure():
     tmap, rep = zeta_matrix(4)
     assert rep["full_column_rank"]
-    assert [m.word for m in tmap.domain_basis] == \
-        [m.word for m in quotient_level_basis(4)]
+    assert [m for m in tmap.domain_basis] == \
+        [m for m in quotient_level_basis(4)]
     # nu(1) column: zeta(nu(1)) = nu(y0) + nu(y1)
-    col = tmap.domain_basis.index(Monomial(PODLES, ()))
-    rows = {m.word: r for r, m in enumerate(tmap.codomain_basis)}
+    col = tmap.domain_basis.index(())
+    rows = {m: r for r, m in enumerate(tmap.codomain_basis)}
     assert tmap.matrix[rows[podles_word(1, 0)]][col] == ONE
     assert tmap.matrix[rows[podles_word(0, 1)]][col] == ONE
     # the actual y0-block: diagonal -q, vanishing subdiagonal
@@ -111,7 +111,7 @@ def test_truncated_map_membership_guard():
     dom = quotient_level_basis(1)
     cod = quotient_level_basis(1)  # too small: zeta leaves it
     z1 = B.gen("y1") + B.gen("y0")
-    images = [nu_reduce(B.monomial(m.word) * z1) for m in dom]
+    images = [nu_reduce(B.monomial(m) * z1) for m in dom]
     with pytest.raises(ValueError):
         TruncatedMap(SYMBOLIC, dom, cod, images)
 
@@ -155,7 +155,7 @@ def test_right_ideal_not_homogeneous():
     for _ in range(40):
         terms = {}
         for _ in range(rng.randint(1, 3)):
-            terms[rng.choice(basis).word] = SYMBOLIC.q_power(rng.randint(-2, 2))
+            terms[rng.choice(basis)] = SYMBOLIC.q_power(rng.randint(-2, 2))
         a = B.poly(terms)
         if a.is_zero():
             continue

@@ -2,10 +2,15 @@
 
 from fractions import Fraction
 
+import pytest
+
 from qsphere import checks
+from qsphere.hopf import _cop_word
 from qsphere.koszul import ext_counit_module, nu_reduce, nu_reduce_oracle
-from qsphere.ncalg import PODLES, get_algebra, parse_expr, podles_word
-from qsphere.scalars import NumericField, SYMBOLIC, specialize
+from qsphere.ncalg import (PODLES, QSL2, filtration_basis, get_algebra,
+                           parse_expr, podles_word)
+from qsphere.scalars import (NumericField, RationalFunction, SYMBOLIC,
+                             SymbolicField, specialize)
 
 Q0 = Fraction(3, 2)
 NUM = NumericField(Q0)
@@ -59,3 +64,29 @@ def test_equal_numeric_fields_share_presets():
     B1, B2 = get_algebra(PODLES, NUM), get_algebra(PODLES, other)
     assert B1 is B2
     assert B1.gen("y0") + B2.gen("y1") == parse_expr("y0 + y1", B1)
+
+
+def test_equal_fields_share_one_context():
+    A = get_algebra(QSL2, SymbolicField())
+    assert SymbolicField() == SYMBOLIC and hash(SymbolicField()) == hash(SYMBOLIC)
+    assert A is get_algebra(QSL2, SYMBOLIC)
+    assert A.gen("a") + get_algebra(QSL2, SYMBOLIC).gen("a") == \
+        A.gen("a").scale(2)
+    ctx = get_algebra(PODLES, NumericField("3/2")).ctx
+    assert ctx is get_algebra(QSL2, NumericField(Fraction(3, 2))).ctx
+    assert ctx is not A.ctx and SYMBOLIC != NUM
+    for alg_id, alg in ctx.presets.items():
+        assert alg.ctx is ctx and alg is get_algebra(alg_id, NUM)
+    with pytest.raises(ValueError):
+        get_algebra("SL3", NUM)
+
+
+def test_symbolic_and_numeric_contexts_share_no_cache_entry():
+    sym, num = get_algebra(QSL2, SYMBOLIC), get_algebra(QSL2, NUM)
+    for w in filtration_basis(sym, 3):
+        _cop_word(sym, w)
+        _cop_word(num, w)
+    for alg, kind in ((sym, RationalFunction), (num, Fraction)):
+        assert alg._cop_cache
+        for cop in alg._cop_cache.values():
+            assert all(type(c) is kind for c in cop.values())

@@ -1,18 +1,21 @@
 """Hopf-algebra structure maps on the presets and Sweedler tensor calculus.
 
-Coproducts, counits and antipodes are defined on generators and extended as
-(anti)algebra maps; tensors are kept fully expanded over pairs of normal
-words, so identities are decided by comparing canonical forms.  The sphere
-carries no intrinsic coproduct; its Sweedler legs are computed through the
-embedding into QSL2, and first legs land back in the sphere (the coideal
-property), which b_coproduct certifies on every call.
+Coproducts and counits are defined on generators and extended as algebra
+maps; the antipode maps each basis word to one signed word in closed form,
+with even powers diagonal on every preset's basis.  Tensors are kept fully
+expanded over pairs of normal words, so identities are decided by comparing
+canonical forms.  The sphere carries no intrinsic coproduct; its Sweedler
+legs are computed through the embedding into QSL2, and first legs land back
+in the sphere (the coideal property), which b_coproduct certifies on every
+call.
 """
 
 from __future__ import annotations
 
 from .linalg import axpy
 from .ncalg import (LAURENT, PODLES, QSL2, SMASH_Z2, NCPoly, embed_podles,
-                    express_in_podles, laurent_word, qsl2_index)
+                    express_in_podles, laurent_exp, laurent_word, qsl2_index,
+                    qsl2_word)
 
 
 class Tensor:
@@ -246,9 +249,12 @@ def counit(p):
     return out
 
 
-# antipode on generators: S(a)=d, S(b)=-q^-1 b, S(c)=-q c, S(d)=a and the
-# smash-product S(x)=x, S(y)=-yx; S^2 is diagonal on basis words
-_S2_EXP = {QSL2: (0, 0, -2, 2), LAURENT: (0, 0), PODLES: None, SMASH_Z2: None}
+# S^2 is diagonal on basis words: S^2(w) = q^(sum of the exponents of w's
+# letters) w, from S^2(b) = q^-2 b, S^2(c) = q^2 c on QSL2 and
+# S^2(y0^i y1^j) = q^-2j y0^i y1^j, S^2(y0^i y-1^j) = q^2j y0^i y-1^j on the
+# sphere; on the smash product S^2(y) = -y
+_S2_EXP = {QSL2: (0, 0, -2, 2), LAURENT: (0, 0), PODLES: (0, -2, 2),
+           SMASH_Z2: None}
 
 
 def antipode(p, power=1):
@@ -258,11 +264,10 @@ def antipode(p, power=1):
     and odd powers are S or S^-1 composed with them).  Sphere elements only
     admit even powers: S(B) is not contained in B, but S^2(B) = B.
     """
-    alg = p.alg
-    if alg.id == PODLES:
-        if power % 2 != 0:
-            raise ValueError("odd antipode powers do not preserve the sphere")
-        return express_in_podles(antipode(embed_podles(p), power))
+    if not isinstance(power, int):
+        raise ValueError(f"antipode power must be an integer, got {power!r}")
+    if p.alg.id == PODLES and power % 2 != 0:
+        raise ValueError("odd antipode powers do not preserve the sphere")
     # power = 2*m + odd with odd in {0, 1}; S^-1 = S^-2 o S
     odd = power % 2
     m = (power - odd) // 2
@@ -284,33 +289,51 @@ def _antipode_even(p, m):
             terms[w] = c if (n_y * m) % 2 == 0 else -c
         return NCPoly(alg, terms)
     exps = _S2_EXP[alg.id]
+    qp = alg.ctx.q_power
     terms = {}
     for w, c in p.terms.items():
         k = sum(exps[g] for g in w) * m
-        terms[w] = c * alg.field.q_power(k)
+        terms[w] = c * qp(k) if k else c
     return NCPoly(alg, terms)
+
+
+def _s_word_qsl2(w):
+    # S(f_{l,m,n}) = (-1)^(m+n) q^(n-m+l(m+n)) f_{-l,m,n}
+    l, m, n = qsl2_index(w)
+    return qsl2_word(-l, m, n), (m + n) % 2, n - m + l * (m + n)
+
+
+def _s_word_laurent(w):
+    # S(z^k) = z^-k
+    return laurent_word(-laurent_exp(w)), 0, 0
+
+
+def _s_word_smash(w):
+    # S(x^e y^i) = (xy)^i x^e = (-1)^(i//2 + i*e) x^((i+e) % 2) y^i,
+    # from S(x) = x, S(y) = xy and (xy)^2 = -y^2
+    e = 1 if w and w[0] == 0 else 0
+    i = len(w) - e
+    return (0,) * ((i + e) % 2) + (1,) * i, (i // 2 + i * e) % 2, 0
+
+
+# S on a basis word: (image word, 1 if the sign is negative, q-exponent)
+_S_WORD = {QSL2: _s_word_qsl2, LAURENT: _s_word_laurent,
+           SMASH_Z2: _s_word_smash}
 
 
 def _antipode_once(p):
     alg = p.alg
-    f = alg.field
-    if alg.id == QSL2:
-        images = {0: {(1,): f.one}, 1: {(0,): f.one},
-                  2: {(2,): -f.q_power(-1)}, 3: {(3,): -f.q_power(1)}}
-    elif alg.id == LAURENT:
-        images = {0: {(1,): f.one}, 1: {(0,): f.one}}
-    elif alg.id == SMASH_Z2:
-        # S(y) = -yx, which is xy in the normal basis
-        images = {0: {(0,): f.one}, 1: {(0, 1): f.one}}
-    else:
+    s_word = _S_WORD.get(alg.id)
+    if s_word is None:
         raise ValueError(f"no antipode on {alg.id}")
-    out = alg.zero()
+    qp = alg.ctx.q_power
+    terms = {}
     for w, c in p.terms.items():
-        acc = alg.poly({(): c})
-        for g in reversed(w):
-            acc = acc * NCPoly(alg, images[g])
-        out = out + acc
-    return out
+        sw, neg, e = s_word(w)
+        if e:
+            c = c * qp(e)
+        terms[sw] = -c if neg else c
+    return NCPoly(alg, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ no rule applies, which lands every element on its ordered-monomial basis
 (a^l b^m c^n and d^k b^m c^n for QSL2, y0^i y1^j and y0^i y-1^j for the
 sphere, grouplike monomials for LAURENT, x^e y^i for the smash product).
 The rewriting systems are small and confluence is established by property
-testing rather than a completion proof.
+testing rather than a completion proof.  QSL2 products of normal words are
+computed in closed form instead (q-commutation and the q-binomial
+expansion of a^k d^k and d^k a^k, see _qsl2_product); rewriting stays the
+independent oracle for them and computes the products of the other presets.
 
 Words are tuples of generator indices; polynomials are sparse dicts mapping
 normal words to nonzero field coefficients.  Bases are plain sequences of
@@ -21,7 +24,10 @@ normal words (filtration_basis returns a cached tuple).
 One Context per coefficient field value holds the four presets (ctx.A,
 ctx.B, ctx.C, ctx.Z2) and every cache of computed structure; each preset
 reaches its companions through preset.ctx, and get_algebra is the one
-lookup from a field to them.
+lookup from a field to them.  The Context also memoises the field's
+q-powers (_qpow_cache, through Context.q_power) and the Gaussian binomial
+rows in q^2 (_gauss_rows, through Context.gauss_row) that the closed-form
+QSL2 product and the per-word antipode use.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 import re
 
 from .linalg import axpy
-from .scalars import SYMBOLIC
+from .scalars import SYMBOLIC, q_bracket
 
 QSL2 = "QSL2"
 PODLES = "PODLES"
@@ -106,7 +112,8 @@ class AlgebraPreset:
         return axpy({}, irreducible, self.field.is_zero)
 
     def mul_words(self, w1, w2):
-        """Normal form of the concatenation of two normal words (cached)."""
+        """Normal form of the concatenation of two normal words (cached):
+        in closed form for QSL2, by rewriting for the other presets."""
         if not w1:
             return {w2: self.field.one}
         if not w2:
@@ -114,7 +121,10 @@ class AlgebraPreset:
         key = (w1, w2)
         hit = self._mul_cache.get(key)
         if hit is None:
-            hit = self.reduce_terms({w1 + w2: self.field.one})
+            if self.id == QSL2:
+                hit = _qsl2_product(self.ctx, w1, w2)
+            else:
+                hit = self.reduce_terms({w1 + w2: self.field.one})
             self._mul_cache[key] = hit
         return hit
 
@@ -210,6 +220,9 @@ class NCPoly:
         return NCPoly(self.alg, {w: c * v for w, v in self.terms.items()})
 
     def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(
+                f"exponent must be a nonnegative integer, got {k!r}")
         out = self.alg.one()
         for _ in range(k):
             out = out * self
@@ -282,7 +295,9 @@ class Context:
     Caches of the sphere inside QSL2: images of sphere words (_embed_cache,
     filled by _embed_word), sphere-word coproducts (_bcop_cache, filled by
     hopf.b_coproduct_word) and the echelons of the left ideal B*z-1 per
-    filtration level (_nu_cache, filled by koszul._nu_echelon).  Like the
+    filtration level (_nu_cache, filled by koszul._nu_echelon).  Scalar
+    caches: the powers q^e (_qpow_cache, filled by q_power) and the rows of
+    Gaussian binomials in q^2 (_gauss_rows, filled by gauss_row).  Like the
     per-preset caches they are unbounded and live as long as the process.
     """
 
@@ -322,6 +337,24 @@ class Context:
         self._embed_cache = {}
         self._bcop_cache = {}
         self._nu_cache = {}
+        self._qpow_cache = {0: one}
+        self._gauss_rows = {}
+
+    def q_power(self, e):
+        """q^e in the field, memoised; q^0 is the field's own one object."""
+        hit = self._qpow_cache.get(e)
+        if hit is None:
+            hit = self._qpow_cache[e] = self.field.q_power(e)
+        return hit
+
+    def gauss_row(self, k):
+        """The Gaussian binomials [k r] in q^2 for r = 0..k (memoised); the
+        end entries are the field's one object."""
+        row = self._gauss_rows.get(k)
+        if row is None:
+            row = self._gauss_rows[k] = [q_bracket(k, r, self.field)
+                                         for r in range(k + 1)]
+        return row
 
 
 _CONTEXTS = {}
@@ -470,6 +503,43 @@ def qsl2_index(word):
     for g in word:
         counts[g] += 1
     return counts[0] - counts[1], counts[2], counts[3]
+
+
+def _qsl2_product(ctx, w1, w2):
+    """f_{l1,m1,n1} * f_{l2,m2,n2} in normal form, from exponent vectors.
+
+    b and c pass a^l2 (d^-l2 when l2 < 0) at q^(-l2(m1+n1)) and commute with
+    each other, so only a^l1 a^l2 can make a sum.  With opposite signs it
+    holds a^k d^k or d^k a^k, k = min(|l1|, |l2|), which expand by the
+    q-binomial theorem as
+
+        a^k d^k = prod_{s<k} (1 + q^(2s+1) bc) = sum_r q^(r^2) [k r] (bc)^r
+        d^k a^k = prod_{s<k} (1 + q^-(2s+1) bc) = sum_r q^(r^2-2rk) [k r] (bc)^r
+
+    with [k r] the Gaussian binomial in q^2.  The leftover power a^l or d^-l
+    (l = l1 + l2) sits right of (bc)^r when |l2| > |l1|, and (bc)^r passes
+    it at q^(-2rl).  Terms come in descending r, the order reduce_terms
+    produces.
+    """
+    l1, m1, n1 = qsl2_index(w1)
+    l2, m2, n2 = qsl2_index(w2)
+    l, m, n = l1 + l2, m1 + m2, n1 + n2
+    e = -l2 * (m1 + n1)
+    qp = ctx.q_power
+    if l1 * l2 >= 0:
+        return {qsl2_word(l, m, n): qp(e)}
+    k = min(abs(l1), abs(l2))
+    row = ctx.gauss_row(k)
+    one = ctx.field.one
+    shift = -2 * l if abs(l2) > abs(l1) else 0
+    if l1 < 0:
+        shift -= 2 * k
+    out = {}
+    for r in range(k, -1, -1):
+        c, g = qp(e + r * r + shift * r), row[r]
+        out[qsl2_word(l, m + r, n + r)] = (
+            c if g is one else g if c is one else c * g)
+    return out
 
 
 def laurent_word(k):

@@ -81,6 +81,15 @@ def test_antipode_examples():
         antipode(B.gen("y0"), 1)
 
 
+def test_antipode_rejects_non_integer_power():
+    for power in (1.5, 2.0, "2", None):
+        with pytest.raises(ValueError):
+            antipode(A.gen("a"), power)
+    with pytest.raises(ValueError):
+        antipode(B.gen("y0"), 0.5)
+    assert antipode(A.gen("a"), -3) == A.gen("d")
+
+
 def test_antipode_inverse_composition():
     for alg in (A, S, L):
         for m in filtration_basis(alg, 3):

@@ -62,6 +62,14 @@ def test_associativity_random():
             assert (p * r) * s == p * (r * s)
 
 
+def test_pow_rejects_negative_and_non_integer_exponents():
+    for k in (-1, -2, 1.5, 2.0, "2"):
+        with pytest.raises(ValueError):
+            A.gen("a") ** k
+    assert A.gen("a") ** 0 == A.one()
+    assert A.gen("a") ** 2 == A.monomial(qsl2_word(2, 0, 0))
+
+
 def test_grade_decompose_examples():
     z1 = B.gen("y1") + B.gen("y0")
     comps = grade_decompose(z1, podles_degree())

@@ -9,10 +9,10 @@ identities can be checked pointwise on any argument window.
 import random
 
 from qsphere import get_algebra
-from qsphere.hochschild import (Bimodule, CharacterFunctional, Cochain,
-                                argument_window, character_action,
-                                cochains_equal, hochschild_b, random_cochain,
-                                twisted_d, xi)
+from qsphere.duality import Functional
+from qsphere.hochschild import (Bimodule, Cochain, argument_window,
+                                character_action, cochains_equal,
+                                hochschild_b, random_cochain, twisted_d, xi)
 from qsphere.ncalg import PODLES, podles_word
 from qsphere.scalars import Q
 
@@ -50,14 +50,15 @@ print("  xi then its inverse restores psi:",
 
 print()
 print("== the character action ==")
-X = CharacterFunctional(Q ** 2)
+X = Functional.char_A(Q ** 2)
 acted = character_action(X, psi)
 lhs = hochschild_b(character_action(X, psi))
 rhs = character_action(X, hochschild_b(psi))
 print("  b(X psi) = X(b psi):",
       cochains_equal(lhs, rhs, argument_window(2, 1)))
-Y = CharacterFunctional(Q ** -1)
-lhs = character_action(X.convolve(Y), psi)
+Y = Functional.char_A(Q ** -1)
+# the convolution of two torus characters is the one at the product
+lhs = character_action(Functional.char_A(X.t * Y.t), psi)
 rhs = character_action(X, character_action(Y, psi))
 print("  (XY) psi = X(Y psi) with parameters multiplying:",
       cochains_equal(lhs, rhs, argument_window(1, 2)))

@@ -7,9 +7,9 @@ monomial bases in the preset algebras (ncalg), the Hopf structure maps and
 Sweedler tensor calculus (hopf), the Koszul resolution of the counit module
 with its reduction calculus and truncated Ext (koszul), Hochschild cochain
 machinery with twisted coboundaries and character actions (hochschild), the
-weight-graded twisted bimodule family with convolution and the averaging
-projection (duality), a structured verification suite (checks), and a CLI
-(cli).
+weight-graded twisted bimodule family, functionals of one Functional type
+with convolution, and the averaging projection (duality), a structured
+verification suite (checks), and a CLI (cli).
 """
 
 from .scalars import (NumericField, RationalFunction, SYMBOLIC, SymbolicField,
@@ -23,10 +23,10 @@ from .hopf import (Tensor, antipode, b_coproduct, coideal_membership, counit,
 from .koszul import (KoszulComplex, TruncatedMap, exactness_check,
                      ext_counit_module, koszul_d2_d1_zero, nu_closed_form,
                      nu_reduce, nu_reduce_oracle, zeta_matrix)
-from .hochschild import (Bimodule, CharacterFunctional, Cochain,
-                         character_action, h0_expected, h0_twisted_center,
-                         hochschild_b, sigma_map, twisted_d, xi)
-from .duality import (Functional, OmegaModule, beta_projection, convolution,
+from .hochschild import (Bimodule, Cochain, character_action, h0_expected,
+                         h0_twisted_center, hochschild_b, sigma_map,
+                         twisted_d, xi)
+from .duality import (Functional, beta_projection, convolution,
                       gamma_functional, omega_basis, omega_membership,
                       omega_product_check, sigma_inverse_check, transes_check)
 

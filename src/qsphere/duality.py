@@ -7,19 +7,23 @@ power.  The family composes: the product x * S^(2m)(y) of members of
 omega(n, m) and omega(i, j) lands in omega(n+i, m+j), and within a
 truncation the products span the target.  All claims here are checked at
 the element level against the honest coaction, never by index bookkeeping
-alone.
+alone.  A truncated member, with its actions, is the carrier
+hochschild.Bimodule("A_twist", twist=m) on omega_basis(n, m, N).
+
+Functional is the one type for the counit, the characters of both
+algebras, sparse tables, gamma and convolutions; its torus characters are
+what hochschild.character_action takes.
 """
 
 from __future__ import annotations
 
-from .hopf import (Tensor, antipode, b_coproduct_grouped, counit, _cop_word,
-                   left_coaction)
-from .hochschild import (CharacterFunctional, sigma_map,
-                         validate_character_b, weight_basis_words)
+from .hopf import (Tensor, antipode, b_coproduct_grouped, b_coproduct_word,
+                   counit, _cop_word, left_coaction)
+from .hochschild import sigma_map, validate_character_b, weight_basis_words
 from .linalg import Echelon, axpy
 from .ncalg import (LAURENT, PODLES, QSL2, NCPoly, embed_podles,
                     express_in_podles, filtration_basis, get_algebra,
-                    laurent_word, podles_index)
+                    laurent_word, podles_index, qsl2_index)
 from .scalars import SYMBOLIC
 
 
@@ -52,34 +56,6 @@ def omega_basis(n, m, N, field=SYMBOLIC):
     return out
 
 
-class OmegaModule:
-    """Truncated carrier of omega(n, m): weight-n monomials of length <= N
-    with left action by multiplication and right action through S^(2m)."""
-
-    def __init__(self, n, m, N, field=SYMBOLIC):
-        self.n = n
-        self.m = m
-        self.N = N
-        self.field = field
-        self.A = get_algebra(QSL2, field)
-        self.basis = omega_basis(n, m, N, field)
-
-    def act_left(self, b, v):
-        """Left action of a sphere element (membership-checked)."""
-        out = embed_podles(b) * v
-        if not out.is_zero() and not omega_membership(out, self.n):
-            raise AssertionError("left action left the weight space")
-        return out
-
-    def act_right(self, v, b):
-        """Right action of a sphere element, twisted by S^(2m)
-        (membership-checked)."""
-        out = v * antipode(embed_podles(b), 2 * self.m)
-        if not out.is_zero() and not omega_membership(out, self.n):
-            raise AssertionError("right action left the weight space")
-        return out
-
-
 def omega_product_check(n, m, i, j, N, field=SYMBOLIC):
     """Element-level instance of the composition law
     omega(n,m) (x)_B omega(i,j) -> omega(n+i, m+j).
@@ -93,17 +69,14 @@ def omega_product_check(n, m, i, j, N, field=SYMBOLIC):
     left = omega_basis(n, m, N, field)
     right = omega_basis(i, j, N, field)
     failures = 0
-    products = []
+    span = Echelon(field)
     for x in left:
         for y in right:
             p = A.monomial(x) * antipode(A.monomial(y), 2 * m)
-            products.append(p)
+            span.add(p.terms)
             if not p.is_zero() and not omega_membership(p, n + i):
                 failures += 1
     target = omega_basis(n + i, m + j, N, field)
-    span = Echelon(field)
-    for p in products:
-        span.add(p.terms)
     defects = {}
     for level in range(N + 1):
         defect = 0
@@ -113,7 +86,7 @@ def omega_product_check(n, m, i, j, N, field=SYMBOLIC):
         defects[level] = defect
     return {"n": n, "m": m, "i": i, "j": j, "N": N,
             "membership_failures": failures,
-            "pair_count": len(products),
+            "pair_count": len(left) * len(right),
             "spanning_defects": defects}
 
 
@@ -122,134 +95,144 @@ def omega_product_check(n, m, i, j, N, field=SYMBOLIC):
 # ---------------------------------------------------------------------------
 
 class Functional:
-    """A linear functional on one preset algebra.
+    """A linear functional on the preset `alg`: a value function on basis
+    words, memoised per word in `table` and extended linearly by __call__
+    to elements of `alg` only (not of another preset or field).
 
-    kinds: 'counit'; 'char_A' (the torus characters a -> t, d -> 1/t of the
-    coordinate ring, evaluated by the CharacterFunctional in `values`);
-    'char_B' (a character of the sphere given by its values on (y-1, y0,
-    y1)); 'sparse' (explicit values on basis words, zero elsewhere);
-    'gamma' (x |-> chi(beta(S^-1(x))) on the coordinate ring); 'conv'
-    (convolution product phi * psi, evaluated through the coproduct).
-
-    A 'gamma' functional memoises its value on each basis word in `table`,
-    computed once by gamma_functional on first use, so the memo lives and
-    dies with the object; __call__ extends the values linearly.  The
-    presets of the field are reached through `ctx`.
+    A sparse functional is a table filled in advance whose value function
+    returns zero.  A torus character keeps its parameter in `t` (None
+    otherwise) for compose_S and the character action on cochains.  The
+    memo lives and dies with the object.
     """
 
-    def __init__(self, kind, alg_id, field=SYMBOLIC, *, values=None,
-                 table=None, parts=None):
-        self.kind = kind
-        self.alg_id = alg_id
-        self.field = field
-        self.ctx = get_algebra(alg_id, field).ctx
-        self.values = values
-        self.table = table or {}
-        self.parts = parts
+    def __init__(self, alg, value, table=None, t=None):
+        self.alg = alg
+        self.value = value
+        self.table = {} if table is None else table
+        self.t = t
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def counit(alg_id, field=SYMBOLIC):
-        return Functional("counit", alg_id, field)
+        alg = get_algebra(alg_id, field)
+        return Functional(alg, lambda w: counit(alg.monomial(w)))
 
     @staticmethod
     def char_A(t, field=SYMBOLIC):
-        return Functional("char_A", QSL2, field,
-                          values=CharacterFunctional(t, field))
+        """The torus character a |-> t, d |-> 1/t, b, c |-> 0 of the
+        coordinate ring."""
+        if field.is_zero(t):
+            raise ValueError("character parameter must be nonzero")
+        zero, inv = field.zero, field.one / t
+
+        def value(w):
+            l, m, n = qsl2_index(w)
+            if m or n:
+                return zero
+            return t ** l if l >= 0 else inv ** (-l)
+
+        return Functional(get_algebra(QSL2, field), value, t=t)
 
     @staticmethod
     def char_B(vm, v0, vp, field=SYMBOLIC):
+        """The character of the sphere with values (vm, v0, vp) on
+        (y-1, y0, y1)."""
         validate_character_b((vm, v0, vp), field)
-        return Functional("char_B", PODLES, field, values=(vm, v0, vp))
+
+        def value(w):
+            i, j = podles_index(w)
+            return v0 ** i * (vp if j > 0 else vm) ** abs(j)
+
+        return Functional(get_algebra(PODLES, field), value)
 
     @staticmethod
     def sparse(alg_id, table, field=SYMBOLIC):
-        return Functional("sparse", alg_id, field, table=dict(table))
+        """Explicit values on basis words, zero elsewhere."""
+        alg = get_algebra(alg_id, field)
+        return Functional(alg, lambda w: alg.field.zero, dict(table))
 
     @staticmethod
     def gamma(chi=None, field=SYMBOLIC):
         """The functional x |-> chi(beta(S^-1(x))) on the coordinate ring."""
-        return Functional("gamma", QSL2, field, values=chi)
+        A = get_algebra(QSL2, field)
+        # gamma_functional is looked up when a word is first evaluated, so
+        # the memo can be tested against the module-level oracle
+        return Functional(A, lambda w: gamma_functional(A.monomial(w), chi))
 
     # -- evaluation ----------------------------------------------------------
 
-    def on_word(self, alg_id, w):
-        field = self.field
-        if self.kind == "counit":
-            return counit(self.ctx.presets[alg_id].monomial(w))
-        if self.kind == "char_A":
-            if alg_id != QSL2:
-                raise ValueError("char_A is a functional on QSL2")
-            return self.values.on_word(w)
-        if self.kind == "char_B":
-            if alg_id != PODLES:
-                raise ValueError("char_B is a functional on PODLES")
-            i, j = podles_index(w)
-            vm, v0, vp = self.values
-            out = field.one
-            for _ in range(i):
-                out = out * v0
-            for _ in range(abs(j)):
-                out = out * (vp if j > 0 else vm)
-            return out
-        if self.kind == "sparse":
-            if alg_id != self.alg_id:
-                raise ValueError("functional domain mismatch")
-            return self.table.get(w, field.zero)
-        if self.kind == "gamma":
-            if alg_id != QSL2:
-                raise ValueError("gamma is a functional on QSL2")
-            v = self.table.get(w)
-            if v is None:
-                v = self.table[w] = gamma_functional(self.ctx.A.monomial(w),
-                                                     self.values)
-            return v
-        if self.kind == "conv":
-            return _conv_word(self, alg_id, w)
-        raise ValueError(f"unknown functional kind {self.kind}")
+    def on_word(self, w):
+        v = self.table.get(w)
+        if v is None:
+            v = self.table[w] = self.value(w)
+        return v
 
     def __call__(self, p):
-        out = self.field.zero
+        if p.alg is not self.alg:
+            raise ValueError(f"a functional on {self.alg!r} cannot take "
+                             f"an element of {p.alg!r}")
+        field = self.alg.field
+        out = field.zero
         for w, c in p.terms.items():
-            v = self.on_word(p.alg.id, w)
-            if not self.field.is_zero(v):
+            v = self.on_word(w)
+            if not field.is_zero(v):
                 out = out + c * v
         return out
+
+    # -- torus characters ----------------------------------------------------
+
+    def compose_S(self):
+        """X o S = X at 1/t for a torus character X.  (X o S^2 = X, since
+        S^2 fixes a and d and scales b and c.)"""
+        if self.t is None:
+            raise ValueError("compose_S needs a torus character (char_A)")
+        field = self.alg.field
+        return Functional.char_A(field.one / self.t, field)
+
+    def act_sphere_word(self, w):
+        """X.m = m_(1) X(m_(2)) for a sphere basis word, as {word: coeff}."""
+        return axpy({}, ((lw, self(right)) for lw, right
+                         in b_coproduct_grouped(self.alg.ctx.B, w).items()),
+                    self.alg.field.is_zero)
+
+    def act_qsl2_word(self, w):
+        """X.a = a_(1) X(a_(2)) for a QSL2 basis word, as {word: coeff}."""
+        zero = self.alg.field.is_zero
+        values = ((lw, c, self.on_word(rw))
+                  for (lw, rw), c in _cop_word(self.alg, w).items())
+        # a zero value is dropped before it costs a multiplication
+        return axpy({}, ((lw, c * v) for lw, c, v in values if not zero(v)),
+                    zero)
 
 
 def convolution(phi, psi):
     """(phi * psi)(a) = phi(a_(1)) psi(a_(2)).
 
     Evaluates on QSL2 through the coproduct and on the sphere through its
-    coideal coproduct (first legs in the sphere, second legs in QSL2); phi
-    must accept the first-leg algebra and psi the second-leg algebra.
+    coideal coproduct (first legs in the sphere, second legs in QSL2), so
+    phi is a functional on QSL2 or PODLES and psi one on QSL2, over the
+    same field.
     """
-    if psi.alg_id not in (QSL2,):
+    ctx = phi.alg.ctx
+    if psi.alg.ctx is not ctx:
+        raise ValueError("convolution factors must share one field")
+    if psi.alg is not ctx.A:
         raise ValueError("the right factor must be a functional on QSL2")
-    domain = phi.alg_id
-    return Functional("conv", domain, phi.field, parts=(phi, psi))
-
-
-def _conv_word(conv, alg_id, w):
-    phi, psi = conv.parts
-    field = conv.field
-    out = field.zero
-    if alg_id == PODLES:
-        for lw, right in b_coproduct_grouped(conv.ctx.B, w).items():
-            v1 = phi.on_word(PODLES, lw)
-            if field.is_zero(v1):
-                continue
-            out = out + v1 * psi(right)
-    elif alg_id == QSL2:
-        for (lw, rw), c in _cop_word(conv.ctx.A, w).items():
-            v1 = phi.on_word(QSL2, lw)
-            if field.is_zero(v1):
-                continue
-            out = out + c * v1 * psi.on_word(QSL2, rw)
-    else:
+    legs = {ctx.A: _cop_word, ctx.B: b_coproduct_word}.get(phi.alg)
+    if legs is None:
         raise ValueError("convolution evaluates on QSL2 or PODLES")
-    return out
+    field = ctx.field
+
+    def value(w):
+        out = field.zero
+        for (lw, rw), c in legs(phi.alg, w).items():
+            v1 = phi.on_word(lw)
+            if not field.is_zero(v1):
+                out = out + c * v1 * psi.on_word(rw)
+        return out
+
+    return Functional(phi.alg, value)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +284,7 @@ def transes_check(maxlen=5, chi=None, field=SYMBOLIC):
     product = convolution(chi, Functional.gamma(chi, field))
     failures = []
     for w in filtration_basis(B, maxlen):
-        total = product.on_word(PODLES, w)
+        total = product.on_word(w)
         if total != counit(B.monomial(w)):
             failures.append(B.render_word(w))
     return {"maxlen": maxlen, "failures": failures, "pass": not failures}

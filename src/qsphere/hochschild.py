@@ -7,21 +7,27 @@ adjoint-twisted d), the conjugating map xi and the character action all
 return lazily evaluated cochains, so composites like b(xi(phi)) are exact
 everywhere; identity checks compare values on explicit argument windows.
 
-Carriers: 'B' (the sphere as a bimodule over itself) and 'BxA' (the sphere
+Carriers: 'B' (the sphere as a bimodule over itself), 'BxA' (the sphere
 tensor the full quantized coordinate ring, left action on the first leg,
-right action through the second).  The twisted coboundary and xi need the
-right A-action and are only defined on 'BxA'.
+right action through the second) and 'A_twist' (the coordinate ring with
+the right action twisted by an even antipode power, which carries the
+twisted family omega(n, m) of duality).  The twisted coboundary and xi
+need the right A-action and are not defined on 'B'.
+
+character_action takes a torus character (duality.Functional.char_A) and
+only calls its methods; sigma_map alone imports duality, inside the call.
 """
 
 from __future__ import annotations
 
 import itertools
 
+# _cop_word is not used here; perfbench/test_perfbench.py checks that the
+# tracer patches this module's reference to it
 from .hopf import Tensor, antipode, b_coproduct_grouped, _cop_word
-from .linalg import axpy, nullspace
+from .linalg import kernel
 from .ncalg import (PODLES, QSL2, NCPoly, embed_podles, express_in_podles,
-                    filtration_basis, get_algebra, qsl2_index,
-                    qsl2_word)
+                    filtration_basis, get_algebra, qsl2_word)
 from .scalars import SYMBOLIC
 
 
@@ -96,25 +102,17 @@ class Bimodule:
 
     def random_value(self, rng, size=2):
         pool_b = filtration_basis(self.B, 2)
+        pool_a = filtration_basis(self.A, 2)
         coeffs = [self.field.q_power(k) for k in (-2, -1, 0, 1, 2)]
         ints = [self.field.from_int(k) for k in (-2, -1, 1, 2)]
-        if self.kind == "B":
-            out = self.B.zero()
-            for _ in range(size):
-                c = rng.choice(coeffs) * rng.choice(ints)
-                out = out + NCPoly(self.B, {rng.choice(pool_b): c})
-            return out
-        pool_a = filtration_basis(self.A, 2)
-        if self.kind == "A_twist":
-            out = self.A.zero()
-            for _ in range(size):
-                c = rng.choice(coeffs) * rng.choice(ints)
-                out = out + NCPoly(self.A, {rng.choice(pool_a): c})
-            return out
-        out = Tensor.zero(self.B, self.A)
+        out = self.zero()
         for _ in range(size):
             c = rng.choice(coeffs) * rng.choice(ints)
-            out.add_term(rng.choice(pool_b), rng.choice(pool_a), c)
+            if self.kind == "BxA":
+                out.add_term(rng.choice(pool_b), rng.choice(pool_a), c)
+            else:
+                pool = pool_b if self.kind == "B" else pool_a
+                out = out + NCPoly(out.alg, {rng.choice(pool): c})
         return out
 
 
@@ -273,58 +271,8 @@ def xi(phi, inverse=False):
 
 
 # ---------------------------------------------------------------------------
-# characters of the coordinate ring and their action on cochains
+# the action of torus characters on cochains
 # ---------------------------------------------------------------------------
-
-class CharacterFunctional:
-    """The character of QSL2 with a |-> t, d |-> t^-1, b, c |-> 0."""
-
-    def __init__(self, t, field=SYMBOLIC):
-        if field.is_zero(t):
-            raise ValueError("character parameter must be nonzero")
-        self.t = t
-        self.field = field
-        self.ctx = get_algebra(QSL2, field).ctx
-
-    def on_word(self, w):
-        l, m, n = qsl2_index(w)
-        if m or n:
-            return self.field.zero
-        return self.t ** l if l >= 0 else (self.field.one / self.t) ** (-l)
-
-    def on_poly(self, p):
-        out = self.field.zero
-        for w, c in p.terms.items():
-            v = self.on_word(w)
-            if not self.field.is_zero(v):
-                out = out + c * v
-        return out
-
-    def compose_S(self):
-        return CharacterFunctional(self.field.one / self.t, self.field)
-
-    def compose_S2(self):
-        # S^2 fixes a and d and kills nothing new: X o S^2 = X
-        return self
-
-    def convolve(self, other):
-        return CharacterFunctional(self.t * other.t, self.field)
-
-    def act_sphere_word(self, w):
-        """X.m = m_(1) X(m_(2)) for a sphere basis word, as {word: coeff}."""
-        return axpy({}, ((lw, self.on_poly(right)) for lw, right
-                         in b_coproduct_grouped(self.ctx.B, w).items()),
-                    self.field.is_zero)
-
-    def act_qsl2_word(self, w):
-        """X.a = a_(1) X(a_(2)) for a QSL2 basis word, as {word: coeff}."""
-        zero = self.field.is_zero
-        values = ((lw, c, self.on_word(rw))
-                  for (lw, rw), c in _cop_word(self.ctx.A, w).items())
-        # a zero value is dropped before it costs a multiplication
-        return axpy({}, ((lw, c * v) for lw, c, v in values if not zero(v)),
-                    zero)
-
 
 def character_action(X, phi):
     """The action of a character X on a BxA-valued cochain:
@@ -333,19 +281,21 @@ def character_action(X, phi):
             (S^2(X) (x) X) |> phi(S(X).b^1, ..., S(X).b^n)
 
     specialised to group-like functionals, whose Sweedler legs all equal X.
+    X is a torus character (duality.Functional.char_A), for which
+    S^2(X) = X o S^2 = X; compose_S raises ValueError for any other
+    functional.
     """
     M = phi.carrier
     if M.kind != "BxA":
         raise ValueError("character action needs the BxA carrier")
     XS = X.compose_S()
-    X2 = X.compose_S2()
 
     def fn(ws):
         args = tuple(XS.act_sphere_word(w) for w in ws)
         val = eval_multi(phi, args)
         out = M.zero()
         for (lw, rw), c in val.terms.items():
-            left = X2.act_sphere_word(lw)
+            left = X.act_sphere_word(lw)
             right = X.act_qsl2_word(rw)
             for w1, c1 in left.items():
                 for w2, c2 in right.items():
@@ -417,15 +367,13 @@ def h0_twisted_center(i, j, N, field=SYMBOLIC):
     B = A.ctx.B
     cols = weight_basis_words(i, N)
     gens = [embed_podles(B.gen(g)) for g in ("y-1", "y0", "y1")]
-    eqs = {}
-    for w in cols:
+
+    def image(w):
         p = A.monomial(w)
-        for k, g in enumerate(gens):
-            img = g * p - p * antipode(g, 2 * j)
-            for iw, c in img.terms.items():
-                eqs.setdefault((k, iw), {})[w] = c
-    sol = nullspace(field, eqs.values(), cols)
-    return [NCPoly(A, vec) for vec in sol]
+        return {(k, iw): c for k, g in enumerate(gens)
+                for iw, c in (g * p - p * antipode(g, 2 * j)).terms.items()}
+
+    return [NCPoly(A, vec) for vec in kernel(field, cols, image)]
 
 
 def h0_expected(i, j):
@@ -482,7 +430,7 @@ def sigma_map(p, chi=None):
     acc = B.ctx.A.zero()
     for w, c in p.terms.items():
         for lw, right in b_coproduct_grouped(B, w).items():
-            cv = chi.on_word(PODLES, lw)
+            cv = chi.on_word(lw)
             if field.is_zero(cv):
                 continue
             acc = acc + antipode(right, 2).scale(c * cv)

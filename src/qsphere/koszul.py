@@ -24,7 +24,7 @@ fields and the tests.
 
 from __future__ import annotations
 
-from .linalg import Echelon, nullspace
+from .linalg import Echelon, kernel
 from .ncalg import (PODLES, filtration_basis, get_algebra, podles_index,
                     podles_word)
 from .scalars import SYMBOLIC, q_bracket
@@ -89,36 +89,31 @@ def exactness_check(N, field=SYMBOLIC):
     basis_N = filtration_basis(B, N)
     basis_N1 = filtration_basis(B, N + 1)
 
-    # H2: rows of d2 restricted to F_N
-    eqs = {}
-    for w in basis_N:
-        img = _pair_vec(K.d2(B.monomial(w)))
-        for key, c in img.items():
-            eqs.setdefault(key, {})[w] = c
-    ker2 = nullspace(field, eqs.values(), basis_N)
-    h2_defect = len(ker2)
+    def d2(w):
+        return _pair_vec(K.d2(B.monomial(w)))
 
-    # H1: kernel of d1 on F_N (+) F_N ...
-    eqs = {}
-    cols = [(t, w) for t in (0, 1) for w in basis_N]
-    for t, w in cols:
+    def d1(col):
+        t, w = col
         p = B.monomial(w)
-        img = K.d1((p, B.zero())) if t == 0 else K.d1((B.zero(), p))
-        for iw, c in img.terms.items():
-            eqs.setdefault(iw, {})[(t, w)] = c
-    kernel = nullspace(field, eqs.values(), cols)
+        return (K.d1((p, B.zero())) if t == 0 else K.d1((B.zero(), p))).terms
 
-    # ... contained in d2(F_{N+1})?
-    image = Echelon(field)
-    for w in basis_N1:
-        image.add(_pair_vec(K.d2(B.monomial(w))))
-    h1_defect = 0
-    for vec in kernel:
-        if image.add(vec) is not None:
-            h1_defect += 1
+    # H2: kernel of d2 restricted to F_N
+    h2_defect = len(kernel(field, basis_N, d2))
+    # H1: kernel of d1 on F_N (+) F_N, contained in d2(F_{N+1})?
+    ker1 = kernel(field, [(t, w) for t in (0, 1) for w in basis_N], d1)
+    h1_defect = _outside(field, ker1, map(d2, basis_N1))
 
     return {"N": N, "H1_defect_dim": h1_defect, "H2_defect_dim": h2_defect,
-            "kernel_dim": len(kernel), "image_source_level": N + 1}
+            "kernel_dim": len(ker1), "image_source_level": N + 1}
+
+
+def _outside(field, vectors, image):
+    """How many of `vectors` fall outside the span of `image`, each vector
+    found outside joining the span before the next is tested."""
+    span = Echelon(field)
+    for v in image:
+        span.add(v)
+    return sum(1 for vec in vectors if span.add(vec) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -362,28 +357,21 @@ def ext_counit_module(N, field=SYMBOLIC):
     basis_N = filtration_basis(B, N)
     basis_N1 = filtration_basis(B, N + 1)
 
+    def d0_image(w):
+        p = B.monomial(w)
+        return _pair_vec((z1 * p, zm1 * p))
+
+    def d1_image(col):
+        t, w = col
+        p = B.monomial(w)
+        return ((zm1 * p).scale(qi) if t == 0 else (z1 * p).scale(-q1)).terms
+
     # degree 0: kernel of f |-> (z1*f, z-1*f)
-    eqs = {}
-    for w in basis_N:
-        img = _pair_vec((z1 * B.monomial(w), zm1 * B.monomial(w)))
-        for key, c in img.items():
-            eqs.setdefault(key, {})[w] = c
-    d0 = len(nullspace(field, eqs.values(), basis_N))
+    d0 = len(kernel(field, basis_N, d0_image))
 
     # degree 1: kernel of (f,g) |-> q^-1*z-1*f - q*z1*g vs image from above
-    cols = [(t, w) for t in (0, 1) for w in basis_N]
-    eqs = {}
-    for t, w in cols:
-        p = B.monomial(w)
-        img = (zm1 * p).scale(qi) if t == 0 else (z1 * p).scale(-q1)
-        for iw, c in img.terms.items():
-            eqs.setdefault(iw, {})[(t, w)] = c
-    kernel = nullspace(field, eqs.values(), cols)
-    image = Echelon(field)
-    for w in basis_N1:
-        p = B.monomial(w)
-        image.add(_pair_vec((z1 * p, zm1 * p)))
-    d1 = sum(1 for vec in kernel if image.add(vec) is not None)
+    ker1 = kernel(field, [(t, w) for t in (0, 1) for w in basis_N], d1_image)
+    d1 = _outside(field, ker1, map(d0_image, basis_N1))
 
     # degree 2: B/(z-1*B + z1*B) truncated; pivots prefer long words so the
     # echelon rows with short pivots give the intersection with F_N

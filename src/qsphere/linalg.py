@@ -138,6 +138,17 @@ def nullspace(field, rows, columns):
     return basis
 
 
+def kernel(field, columns, image):
+    """Kernel basis of the map sending each column c to the sparse vector
+    image(c), by nullspace on the equation rows in order of first
+    appearance, each row listing its columns in the order of `columns`."""
+    rows = {}
+    for col in columns:
+        for key, c in image(col).items():
+            rows.setdefault(key, {})[col] = c
+    return nullspace(field, rows.values(), columns)
+
+
 def determinant(field, matrix):
     """Exact determinant of a dense square matrix (list of row lists)."""
     n = len(matrix)

@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 
 from qsphere import duality
-from qsphere.duality import (Functional, OmegaModule, beta_projection,
+from qsphere.duality import (Functional, beta_projection,
                              convolution, gamma_functional, omega_basis,
                              omega_membership, omega_product_check,
                              sigma_inverse_apply, sigma_inverse_check,
                              transes_check)
-from qsphere.hochschild import h0_twisted_center, sigma_map
-from qsphere.ncalg import (PODLES, QSL2, embed_podles, filtration_basis,
-                           get_algebra, qsl2_word)
+from qsphere.hochschild import Bimodule, h0_twisted_center, sigma_map
+from qsphere.ncalg import (LAURENT, PODLES, QSL2, embed_podles,
+                           filtration_basis, get_algebra, podles_word,
+                           qsl2_word)
 from qsphere.scalars import ONE, Q, SYMBOLIC, ZERO, NumericField
 
 FIELDS = pytest.mark.parametrize(
@@ -44,10 +45,12 @@ def test_omega_basis_examples_and_counts():
 
 
 def test_omega_module_actions_close():
-    om = OmegaModule(1, 1, 3)
+    # omega(1, 1) is the A_twist carrier with twist 1 on weight-1 elements
+    om = Bimodule("A_twist", twist=1)
     v = A.gen("b")
-    lv = om.act_left(B.gen("y0"), v)
-    rv = om.act_right(v, B.gen("y0"))
+    assert omega_membership(v, 1, 1)
+    lv = om.left_word(podles_word(1, 0), v)
+    rv = om.right_word(v, podles_word(1, 0))
     assert omega_membership(lv, 1)
     assert omega_membership(rv, 1)
 
@@ -70,10 +73,8 @@ def test_convolution_unit_and_characters():
     phi = Functional.sparse(QSL2, {qsl2_word(1, 0, 0): ONE,
                                    qsl2_word(0, 1, 1): Q})
     for m in filtration_basis(A, 2):
-        assert convolution(eps, phi).on_word(QSL2, m) == \
-            phi.on_word(QSL2, m)
-        assert convolution(phi, eps).on_word(QSL2, m) == \
-            phi.on_word(QSL2, m)
+        assert convolution(eps, phi).on_word(m) == phi.on_word(m)
+        assert convolution(phi, eps).on_word(m) == phi.on_word(m)
     X1, X2 = Functional.char_A(Q), Functional.char_A(Q ** 2)
     conv = convolution(X1, X2)
     assert conv(A.gen("a")) == Q ** 3
@@ -81,6 +82,28 @@ def test_convolution_unit_and_characters():
     assert conv(A.gen("b")) == ZERO
     with pytest.raises(ValueError, match="must be nonzero"):
         Functional.char_A(ZERO)
+
+
+def test_functional_rejects_an_element_of_another_field():
+    Aq = get_algebra(QSL2, NumericField(Fraction(3, 2)))
+    with pytest.raises(ValueError, match="cannot take"):
+        Functional.char_A(Q)(Aq.gen("a") * Aq.gen("a"))
+
+
+def test_functional_rejects_an_element_of_another_preset():
+    with pytest.raises(ValueError, match="cannot take"):
+        Functional.counit(LAURENT)(A.gen("a"))
+
+
+def test_convolution_rejects_factors_over_different_fields():
+    eps_q = Functional.counit(QSL2, NumericField(Fraction(3, 2)))
+    with pytest.raises(ValueError, match="one field"):
+        convolution(eps_q, Functional.char_A(Q))
+
+
+def test_convolution_rejects_a_left_factor_off_qsl2_and_podles():
+    with pytest.raises(ValueError, match="QSL2 or PODLES"):
+        convolution(Functional.counit(LAURENT), Functional.char_A(Q))
 
 
 def test_convolution_associativity_random():
@@ -97,7 +120,7 @@ def test_convolution_associativity_random():
         lhs = convolution(convolution(f, g), h)
         rhs = convolution(f, convolution(g, h))
         for w in basis:
-            assert lhs.on_word(QSL2, w) == rhs.on_word(QSL2, w)
+            assert lhs.on_word(w) == rhs.on_word(w)
 
 
 def test_beta_examples_and_projection_laws():

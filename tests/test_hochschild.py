@@ -2,16 +2,16 @@ import random
 
 import pytest
 
-from qsphere.hochschild import (Bimodule, CharacterFunctional, Cochain,
-                                argument_window, character_action,
-                                cochains_equal, eval_cochain, h0_expected,
-                                h0_twisted_center, hochschild_b,
-                                random_argument_tuples, random_cochain,
-                                sigma_map, twisted_d, xi)
+from qsphere.duality import Functional, convolution
+from qsphere.hochschild import (Bimodule, Cochain, argument_window,
+                                character_action, cochains_equal,
+                                eval_cochain, h0_expected, h0_twisted_center,
+                                hochschild_b, random_argument_tuples,
+                                random_cochain, sigma_map, twisted_d, xi)
 from qsphere.hopf import Tensor, antipode, b_coproduct_grouped
 from qsphere.ncalg import (PODLES, QSL2, filtration_basis, get_algebra,
                            podles_word, qsl2_word)
-from qsphere.scalars import ONE, Q, ZERO
+from qsphere.scalars import ONE, Q, SYMBOLIC, ZERO, NumericField
 
 B = get_algebra(PODLES)
 A = get_algebra(QSL2)
@@ -121,24 +121,63 @@ def test_conjugation_law_spot():
 def test_character_unit_and_action_property():
     rng = random.Random(59)
     phi = random_cochain(rng, 1, MT, support=2, entries=3)
-    eps = CharacterFunctional(ONE)
+    eps = Functional.char_A(ONE)
     acted = character_action(eps, phi)
     for ws in argument_window(1, 2):
         assert acted.eval_words(ws) == phi.eval_words(ws)
-    X = CharacterFunctional(Q)
-    Y = CharacterFunctional(Q ** 2)
-    lhs = character_action(X.convolve(Y), phi)
+    X = Functional.char_A(Q)
+    Y = Functional.char_A(Q ** 2)
+    XY = Functional.char_A(X.t * Y.t)
+    lhs = character_action(XY, phi)
     rhs = character_action(X, character_action(Y, phi))
     for ws in argument_window(1, 2):
         assert lhs.eval_words(ws) == rhs.eval_words(ws)
-    assert X.convolve(Y).t == Q ** 3
+    # the convolution of torus characters is the one at t = t_X t_Y = q^3
+    assert XY.t == Q ** 3
+    conv = convolution(X, Y)
+    for w in filtration_basis(A, 3):
+        assert conv.on_word(w) == XY.on_word(w), w
     with pytest.raises(ValueError):
-        CharacterFunctional(ZERO)
+        Functional.char_A(ZERO)
+
+
+def test_character_action_needs_a_torus_character():
+    phi = random_cochain(random.Random(59), 1, MT, support=2, entries=3)
+    sparse = Functional.sparse(QSL2, {qsl2_word(1, 0, 0): Q})
+    conv = convolution(Functional.char_A(Q), Functional.counit(QSL2))
+    for X in (sparse, conv):
+        with pytest.raises(ValueError, match="torus character"):
+            character_action(X, phi)
+
+
+def test_character_value_computed_once_per_word(monkeypatch):
+    # the value function (one qsl2_index and one power of t) runs once
+    # per word, however often the action asks for that word
+    X = Functional.char_A(Q * Q)
+    calls = []
+    value = X.value
+    monkeypatch.setattr(X, "value", lambda w: calls.append(w) or value(w))
+    phi = random_cochain(random.Random(61), 1, MT, support=2, entries=3)
+    acted = character_action(X, hochschild_b(phi))
+    for ws in argument_window(2, 1):
+        acted.eval_words(ws)
+    assert calls and len(calls) == len(set(calls)) == len(X.table)
+
+
+@pytest.mark.parametrize("field", [SYMBOLIC, NumericField("3/2")],
+                         ids=["symbolic", "q=3/2"])
+def test_compose_S_is_precomposition_with_the_antipode(field):
+    Af = get_algebra(QSL2, field)
+    X = Functional.char_A(field.q_power(2) * field.from_int(-3), field)
+    XS = X.compose_S()
+    assert XS.t == field.one / X.t
+    for w in filtration_basis(Af, 4):
+        assert XS.on_word(w) == X(antipode(Af.monomial(w), 1)), w
 
 
 def test_character_commutes_with_b_spot():
     rng = random.Random(61)
-    X = CharacterFunctional(Q * Q)
+    X = Functional.char_A(Q * Q)
     phi = random_cochain(rng, 0, MT, support=2, entries=3)
     lhs = hochschild_b(character_action(X, phi))
     rhs = character_action(X, hochschild_b(phi))

@@ -7,8 +7,8 @@ power.  The family composes: the product x * S^(2m)(y) of members of
 omega(n, m) and omega(i, j) lands in omega(n+i, m+j), and within a
 truncation the products span the target.  All claims here are checked at
 the element level against the honest coaction, never by index bookkeeping
-alone.  A truncated member, with its actions, is the carrier
-hochschild.Bimodule("A_twist", twist=m) on omega_basis(n, m, N).
+alone.  OmegaModule is omega(n, m) as the carrier
+hochschild.Bimodule("A_twist", twist=m), its actions checked for weight.
 
 Functional is the one type for the counit, the characters of both
 algebras, sparse tables, gamma and convolutions; its torus characters are
@@ -17,9 +17,10 @@ what hochschild.character_action takes.
 
 from __future__ import annotations
 
-from .hopf import (Tensor, antipode, b_coproduct_grouped, b_coproduct_word,
-                   counit, _cop_word, left_coaction)
-from .hochschild import sigma_map, validate_character_b, weight_basis_words
+from .hopf import (Tensor, antipode, b_coproduct_word, counit, _cop_word,
+                   left_coaction)
+from .hochschild import (Bimodule, sigma_map, validate_character_b,
+                         weight_basis_words)
 from .linalg import Echelon, axpy
 from .ncalg import (LAURENT, PODLES, QSL2, NCPoly, embed_podles,
                     express_in_podles, filtration_basis, get_algebra,
@@ -54,6 +55,29 @@ def omega_basis(n, m, N, field=SYMBOLIC):
             raise AssertionError("index arithmetic disagrees with coaction")
     out.sort(key=A.sort_key)
     return out
+
+
+class OmegaModule(Bimodule):
+    """omega(n, m) as the carrier Bimodule("A_twist", twist=m), with
+    sphere elements acting and each result checked to stay in weight n."""
+
+    def __init__(self, n, m, field=SYMBOLIC):
+        super().__init__("A_twist", field, twist=m)
+        self.n = n
+
+    def act_left(self, b, v):
+        """Left action of a sphere element (membership-checked)."""
+        return self._in_weight(embed_podles(b) * v)
+
+    def act_right(self, v, b):
+        """Right action of a sphere element, twisted by S^(2m)
+        (membership-checked)."""
+        return self._in_weight(self.right_A(v, embed_podles(b)))
+
+    def _in_weight(self, out):
+        if not out.is_zero() and not omega_membership(out, self.n):
+            raise AssertionError("the action left the weight space")
+        return out
 
 
 def omega_product_check(n, m, i, j, N, field=SYMBOLIC):
@@ -189,21 +213,6 @@ class Functional:
             raise ValueError("compose_S needs a torus character (char_A)")
         field = self.alg.field
         return Functional.char_A(field.one / self.t, field)
-
-    def act_sphere_word(self, w):
-        """X.m = m_(1) X(m_(2)) for a sphere basis word, as {word: coeff}."""
-        return axpy({}, ((lw, self(right)) for lw, right
-                         in b_coproduct_grouped(self.alg.ctx.B, w).items()),
-                    self.alg.field.is_zero)
-
-    def act_qsl2_word(self, w):
-        """X.a = a_(1) X(a_(2)) for a QSL2 basis word, as {word: coeff}."""
-        zero = self.alg.field.is_zero
-        values = ((lw, c, self.on_word(rw))
-                  for (lw, rw), c in _cop_word(self.alg, w).items())
-        # a zero value is dropped before it costs a multiplication
-        return axpy({}, ((lw, c * v) for lw, c, v in values if not zero(v)),
-                    zero)
 
 
 def convolution(phi, psi):

@@ -14,18 +14,17 @@ the right action twisted by an even antipode power, which carries the
 twisted family omega(n, m) of duality).  The twisted coboundary and xi
 need the right A-action and are not defined on 'B'.
 
-character_action takes a torus character (duality.Functional.char_A) and
-only calls its methods; sigma_map alone imports duality, inside the call.
+character_action takes a torus character (duality.Functional.char_A);
+CharacterFunctional applies it to basis words through the coproduct and
+only calls its methods.  sigma_map alone imports duality, inside the call.
 """
 
 from __future__ import annotations
 
 import itertools
 
-# _cop_word is not used here; perfbench/test_perfbench.py checks that the
-# tracer patches this module's reference to it
 from .hopf import Tensor, antipode, b_coproduct_grouped, _cop_word
-from .linalg import kernel
+from .linalg import axpy, kernel
 from .ncalg import (PODLES, QSL2, NCPoly, embed_podles, express_in_podles,
                     filtration_basis, get_algebra, qsl2_word)
 from .scalars import SYMBOLIC
@@ -274,6 +273,41 @@ def xi(phi, inverse=False):
 # the action of torus characters on cochains
 # ---------------------------------------------------------------------------
 
+class CharacterFunctional:
+    """A torus character X (duality.Functional.char_A) acting on basis
+    words through the coproduct.  Values and their linear extension are
+    X's own: on_word and on_poly hand them on."""
+
+    def __init__(self, X):
+        if X.t is None:
+            raise ValueError("the character action needs a torus "
+                             "character (char_A)")
+        self.X = X
+
+    def on_word(self, w):
+        return self.X.on_word(w)
+
+    def on_poly(self, p):
+        return self.X(p)
+
+    def act_sphere_word(self, w):
+        """X.m = m_(1) X(m_(2)) for a sphere basis word, as {word: coeff}."""
+        alg = self.X.alg
+        return axpy({}, ((lw, self.on_poly(right)) for lw, right
+                         in b_coproduct_grouped(alg.ctx.B, w).items()),
+                    alg.field.is_zero)
+
+    def act_qsl2_word(self, w):
+        """X.a = a_(1) X(a_(2)) for a QSL2 basis word, as {word: coeff}."""
+        alg = self.X.alg
+        zero = alg.field.is_zero
+        values = ((lw, c, self.on_word(rw))
+                  for (lw, rw), c in _cop_word(alg, w).items())
+        # a zero value is dropped before it costs a multiplication
+        return axpy({}, ((lw, c * v) for lw, c, v in values if not zero(v)),
+                    zero)
+
+
 def character_action(X, phi):
     """The action of a character X on a BxA-valued cochain:
 
@@ -282,13 +316,12 @@ def character_action(X, phi):
 
     specialised to group-like functionals, whose Sweedler legs all equal X.
     X is a torus character (duality.Functional.char_A), for which
-    S^2(X) = X o S^2 = X; compose_S raises ValueError for any other
-    functional.
+    S^2(X) = X o S^2 = X; any other functional raises ValueError.
     """
     M = phi.carrier
     if M.kind != "BxA":
         raise ValueError("character action needs the BxA carrier")
-    XS = X.compose_S()
+    X, XS = CharacterFunctional(X), CharacterFunctional(X.compose_S())
 
     def fn(ws):
         args = tuple(XS.act_sphere_word(w) for w in ws)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qsphere import duality
-from qsphere.duality import (Functional, beta_projection,
+from qsphere.duality import (Functional, OmegaModule, beta_projection,
                              convolution, gamma_functional, omega_basis,
                              omega_membership, omega_product_check,
                              sigma_inverse_apply, sigma_inverse_check,
@@ -45,14 +45,17 @@ def test_omega_basis_examples_and_counts():
 
 
 def test_omega_module_actions_close():
-    # omega(1, 1) is the A_twist carrier with twist 1 on weight-1 elements
-    om = Bimodule("A_twist", twist=1)
+    om = OmegaModule(1, 1)
     v = A.gen("b")
     assert omega_membership(v, 1, 1)
-    lv = om.left_word(podles_word(1, 0), v)
-    rv = om.right_word(v, podles_word(1, 0))
+    lv = om.act_left(B.gen("y0"), v)
+    rv = om.act_right(v, B.gen("y0"))
     assert omega_membership(lv, 1)
     assert omega_membership(rv, 1)
+    # omega(1, 1) is the A_twist carrier with twist 1 on weight-1 elements
+    tw = Bimodule("A_twist", twist=1)
+    assert lv == tw.left_word(podles_word(1, 0), v)
+    assert rv == tw.right_word(v, podles_word(1, 0))
 
 
 def test_omega_product_instances():

@@ -21,7 +21,7 @@ MB = Bimodule("B")
 MT = Bimodule("BxA")
 
 print("== the standard coboundary ==")
-phi = Cochain(0, MB, {(): B.gen("y0")}, 0)
+phi = Cochain(0, MB, {(): B.gen("y0")})
 b_phi = hochschild_b(phi)
 v = b_phi.eval_words((podles_word(0, 1),))
 print("  for the constant 0-cochain at y0: (b phi)(y1) = y1*y0 - y0*y1 =",

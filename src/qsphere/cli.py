@@ -124,7 +124,11 @@ def build_parser():
 def _field(args):
     if args.q is None:
         return SYMBOLIC
-    return NumericField(Fraction(args.q))
+    try:
+        q0 = Fraction(args.q)
+    except ZeroDivisionError:
+        raise ValueError(f"--q {args.q}: division by zero") from None
+    return NumericField(q0)
 
 
 def _emit(args, payload):

@@ -59,16 +59,10 @@ class Bimodule:
 
     def left_word(self, w, v):
         """Left action of the sphere basis monomial w."""
+        if self.kind == "BxA":
+            return Tensor(self.B, self.A, {(w, ()): self.field.one}) * v
         m = NCPoly(self.B, {w: self.field.one})
-        if self.kind == "B":
-            return m * v
-        if self.kind == "A_twist":
-            return embed_podles(m) * v
-        out = Tensor.zero(self.B, self.A)
-        for (lw, rw), c in v.terms.items():
-            for w2, c2 in self.B.mul_words(w, lw).items():
-                out.add_term(w2, rw, c * c2)
-        return out
+        return (m if self.kind == "B" else embed_podles(m)) * v
 
     def right_word(self, v, w):
         """Right action of the sphere basis monomial w."""
@@ -82,12 +76,8 @@ class Bimodule:
             return v * antipode(a, 2 * self.twist)
         if self.kind != "BxA":
             raise ValueError("right A-action needs the BxA or A_twist carrier")
-        out = Tensor.zero(self.B, self.A)
-        for (lw, rw), c in v.terms.items():
-            for aw, c2 in a.terms.items():
-                for w2, c3 in self.A.mul_words(rw, aw).items():
-                    out.add_term(lw, w2, c * c2 * c3)
-        return out
+        return v * Tensor(self.B, self.A,
+                          {((), aw): c for aw, c in a.terms.items()})
 
     def ad_word(self, w, v):
         """Adjoint action ad(w)v = w_(1) v S(w_(2))."""
@@ -99,13 +89,13 @@ class Bimodule:
             out = out + part
         return out
 
-    def random_value(self, rng, size=2):
+    def random_value(self, rng):
         pool_b = filtration_basis(self.B, 2)
         pool_a = filtration_basis(self.A, 2)
         coeffs = [self.field.q_power(k) for k in (-2, -1, 0, 1, 2)]
         ints = [self.field.from_int(k) for k in (-2, -1, 1, 2)]
         out = self.zero()
-        for _ in range(size):
+        for _ in range(2):
             c = rng.choice(coeffs) * rng.choice(ints)
             if self.kind == "BxA":
                 out.add_term(rng.choice(pool_b), rng.choice(pool_a), c)
@@ -122,11 +112,10 @@ class Bimodule:
 class Cochain:
     """Concrete sparse cochain: table on tuples of sphere basis words."""
 
-    def __init__(self, degree, carrier, table, support):
+    def __init__(self, degree, carrier, table):
         self.degree = degree
         self.carrier = carrier
         self.table = {k: v for k, v in table.items() if not carrier.is_zero(v)}
-        self.support = support
 
     def eval_words(self, words):
         v = self.table.get(tuple(words))
@@ -363,7 +352,7 @@ def random_cochain(rng, degree, carrier, support=3, entries=4):
     for _ in range(entries):
         key = tuple(rng.choice(pool) for _ in range(degree))
         table[key] = carrier.random_value(rng)
-    return Cochain(degree, carrier, table, support)
+    return Cochain(degree, carrier, table)
 
 
 def random_argument_tuples(rng, degree, level, count, field=SYMBOLIC):

@@ -4,18 +4,20 @@ Coproducts and counits are defined on generators and extended as algebra
 maps; the antipode maps each basis word to one signed word in closed form,
 with even powers diagonal on every preset's basis.  Tensors are kept fully
 expanded over pairs of normal words, so identities are decided by comparing
-canonical forms.  The sphere carries no intrinsic coproduct; its Sweedler
-legs are computed through the embedding into QSL2, and first legs land back
-in the sphere (the coideal property), which b_coproduct certifies on every
-call.
+canonical forms.  leg_product is the one leg-wise product of Sweedler
+tensors: word coproducts and Tensor products (and through them the actions
+on the BxA cochain carrier) multiply through it.  The sphere carries no intrinsic
+coproduct; its Sweedler legs are computed through the closed-form embedding
+into QSL2, and first legs land back in the sphere (the coideal property),
+which b_coproduct certifies on every call.
 """
 
 from __future__ import annotations
 
 from .linalg import axpy
-from .ncalg import (LAURENT, PODLES, QSL2, SMASH_Z2, NCPoly, embed_podles,
-                    express_in_podles, laurent_exp, laurent_word, qsl2_index,
-                    qsl2_word)
+from .ncalg import (LAURENT, PODLES, QSL2, SMASH_Z2, NCPoly, _embed_word,
+                    _express_word, embed_podles, express_in_podles,
+                    laurent_exp, laurent_word, qsl2_index, qsl2_word)
 
 
 class Tensor:
@@ -73,16 +75,9 @@ class Tensor:
 
     def __mul__(self, other):
         self._check(other)
-        out = Tensor.zero(self.left_alg, self.right_alg)
-        lmul = self.left_alg.mul_words
-        rmul = self.right_alg.mul_words
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                c12 = c1 * c2
-                for lw, cl in lmul(l1, l2).items():
-                    for rw, cr in rmul(r1, r2).items():
-                        out.add_term(lw, rw, c12 * cl * cr)
-        return out
+        L, R = self.left_alg, self.right_alg
+        return Tensor(L, R, leg_product(self.terms, other.terms, L.mul_words,
+                                        R.mul_words, L.field))
 
     def __eq__(self, other):
         return (isinstance(other, Tensor)
@@ -113,6 +108,34 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor({self.render()})"
+
+
+def leg_product(left, right, lmul, rmul, field):
+    """The leg-wise product of two sparse tensors {(left word, right word):
+    coeff}: sum of c1*c2 * lmul(l1, l2) (x) rmul(r1, r2), left terms outer.
+
+    Multiplications by the field's one are skipped and cancelled keys are
+    dropped, so the result never stores a zero.
+    """
+    one, zero = field.one, field.is_zero
+    out = {}
+    for (l1, r1), c1 in left.items():
+        for (l2, r2), c2 in right.items():
+            c12 = c1 if c2 is one else c2 if c1 is one else c1 * c2
+            rterms = rmul(r1, r2).items()
+            for lw, cl in lmul(l1, l2).items():
+                c = c12 if cl is one else c12 * cl
+                for rw, cr in rterms:
+                    v = c if cr is one else c * cr
+                    k = (lw, rw)
+                    acc = out.get(k)
+                    if acc is not None:
+                        v = acc + v
+                        if zero(v):
+                            del out[k]
+                            continue
+                    out[k] = v
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -151,39 +174,20 @@ def _cop_word(alg, w):
     """Delta(w) of a normal word as a dict {(left word, right word): coeff}
     (cached on the preset).
 
-    Delta(w) = Delta(w[:-1]) * Delta(w[-1]): every term of the cached prefix
-    coproduct is multiplied, leg by leg through mul_words, by each Sweedler
-    term of the last generator (prefix term outer, generator term inner),
-    and multiplications by the field's one are skipped.
+    Delta(w) = Delta(w[:-1]) * Delta(w[-1]): the leg_product of the cached
+    prefix coproduct with the Sweedler terms of the last generator.
     """
     cache = alg._cop_cache
     hit = cache.get(w)
     if hit is not None:
         return hit
-    field = alg.field
-    one = field.one
+    one = alg.field.one
     if not w:
         res = {((), ()): one}
     else:
-        zero = field.is_zero
-        mul = alg.mul_words
-        gen = _COP_GEN[alg.id][w[-1]]
-        res = {}
-        for (l1, r1), c1 in _cop_word(alg, w[:-1]).items():
-            for l2, r2 in gen:
-                right = mul(r1, r2).items()
-                for lw, cl in mul(l1, l2).items():
-                    c = c1 if cl is one else c1 * cl
-                    for rw, cr in right:
-                        v = c if cr is one else c * cr
-                        k = (lw, rw)
-                        acc = res.get(k)
-                        if acc is not None:
-                            v = acc + v
-                            if zero(v):
-                                del res[k]
-                                continue
-                        res[k] = v
+        gen = dict.fromkeys(_COP_GEN[alg.id][w[-1]], one)
+        res = leg_product(_cop_word(alg, w[:-1]), gen, alg.mul_words,
+                          alg.mul_words, alg.field)
     cache[w] = res
     return res
 
@@ -199,15 +203,13 @@ def b_coproduct_word(B, w):
     hit = cache.get(w)
     if hit is not None:
         return hit
-    A = B.ctx.A
-    emb = embed_podles(NCPoly(B, {w: B.field.one}))
-    items = []
-    for aw, c in emb.terms.items():
-        for (lw, rw), cc in _cop_word(A, aw).items():
-            e = express_in_podles(NCPoly(A, {lw: A.field.one}))
-            (ew, eu), = e.terms.items()
-            items.append(((ew, rw), c * cc * eu))
-    out = cache[w] = axpy({}, items, B.field.is_zero)
+    aw, e = _embed_word(w)
+    out = {}
+    for (lw, rw), c in _cop_word(B.ctx.A, aw).items():
+        # _express_word is injective, so no two terms collide
+        bw, e1 = _express_word(lw)
+        out[(bw, rw)] = c * B.ctx.q_power(e + e1) if e + e1 else c
+    cache[w] = out
     return out
 
 

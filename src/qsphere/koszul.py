@@ -24,7 +24,7 @@ fields and the tests.
 
 from __future__ import annotations
 
-from .linalg import Echelon, kernel
+from .linalg import Echelon, axpy, kernel
 from .ncalg import (PODLES, filtration_basis, get_algebra, podles_index,
                     podles_word)
 from .scalars import SYMBOLIC, q_bracket
@@ -181,15 +181,9 @@ def nu_reduce_oracle(i, j, field=SYMBOLIC):
     out = {}
     while pending:
         w, c = pending.popitem()
-        if field.is_zero(c):
-            continue
         wi, wj = podles_index(w)
         if _is_quotient_word(w):
-            acc = out.get(w, field.zero) + c
-            if field.is_zero(acc):
-                out.pop(w, None)
-            else:
-                out[w] = acc
+            axpy(out, ((w, c),), field.is_zero)
             continue
         if wj < 0:
             # nu(b*y-1) = -nu(b*y0)
@@ -199,12 +193,7 @@ def nu_reduce_oracle(i, j, field=SYMBOLIC):
             # nu(y0^i y1^j) = -q^(2j) nu(y0^(i-1) y1^j y-1)
             head = B.monomial(podles_word(wi - 1, wj))
             step = (head * B.gen("y-1")).scale(-field.q_power(2 * wj))
-        for sw, sc in step.terms.items():
-            acc = pending.get(sw, field.zero) + c * sc
-            if field.is_zero(acc):
-                pending.pop(sw, None)
-            else:
-                pending[sw] = acc
+        axpy(pending, step.terms.items(), field.is_zero, c)
     return out
 
 

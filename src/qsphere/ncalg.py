@@ -16,6 +16,8 @@ testing rather than a completion proof.  QSL2 products of normal words are
 computed in closed form instead (q-commutation and the q-binomial
 expansion of a^k d^k and d^k a^k, see _qsl2_product); rewriting stays the
 independent oracle for them and computes the products of the other presets.
+The embedding of the sphere into QSL2 and its inverse map each normal word
+to one normal word times a power of q in closed form (_embed_word).
 
 Words are tuples of generator indices; polynomials are sparse dicts mapping
 normal words to nonzero field coefficients.  Bases are plain sequences of
@@ -292,10 +294,10 @@ class Context:
     """The four presets over one coefficient field: A = QSL2, B = PODLES,
     C = LAURENT and Z2 = SMASH_Z2, each pointing back here through .ctx.
 
-    Caches of the sphere inside QSL2: images of sphere words (_embed_cache,
-    filled by _embed_word), sphere-word coproducts (_bcop_cache, filled by
-    hopf.b_coproduct_word) and the echelons of the left ideal B*z-1 per
-    filtration level (_nu_cache, filled by koszul._nu_echelon).  Scalar
+    Caches of the sphere inside QSL2: sphere-word coproducts (_bcop_cache,
+    filled by hopf.b_coproduct_word) and the echelons of the left ideal
+    B*z-1 per filtration level (_nu_cache, filled by koszul._nu_echelon);
+    the embedding itself is a closed form and needs no cache.  Scalar
     caches: the powers q^e (_qpow_cache, filled by q_power) and the rows of
     Gaussian binomials in q^2 (_gauss_rows, filled by gauss_row).  Like the
     per-preset caches they are unbounded and live as long as the process.
@@ -334,7 +336,6 @@ class Context:
             (1, 0): [(field.from_int(-1), (0, 1))],
         }, (0, 1))
         self.presets = {a.id: a for a in (self.A, self.B, self.C, self.Z2)}
-        self._embed_cache = {}
         self._bcop_cache = {}
         self._nu_cache = {}
         self._qpow_cache = {0: one}
@@ -554,38 +555,48 @@ def laurent_exp(word):
 # the sphere inside QSL2: y-1 = ca, y0 = bc, y1 = bd
 # ---------------------------------------------------------------------------
 
-_EMBED_GEN_WORDS = {0: (2, 3), 1: (2, 1), 2: (3, 0)}  # y0->bc, y1->bd, y-1->ca
+def _embed_word(w):
+    """Image of a normal sphere word as (QSL2 word, q-exponent e), in
+    closed form:
+
+        y0^i y1^j  -> q^(j(j+1)/2 + 2ij) d^j b^(i+j) c^i
+        y0^i y-1^j -> q^-(j(j+1)/2 + 2ij) a^j b^i c^(i+j)
+    """
+    i, j = podles_index(w)
+    k = abs(j)
+    e = k * (k + 1) // 2 + 2 * i * k
+    if j >= 0:
+        return qsl2_word(-k, i + k, i), e
+    return qsl2_word(k, i, i + k), -e
+
+
+def _express_word(w):
+    """Inverse of _embed_word: (sphere word, e) with w = q^e * embed(sphere
+    word).  a^l b^m c^(m+l) comes from y0^m y-1^l and d^k b^(n+k) c^n from
+    y0^n y1^k; a word of nonzero weight is no image and raises ValueError."""
+    l, m, n = qsl2_index(w)
+    if l + m - n != 0:
+        raise ValueError(f"element is not in the sphere subalgebra: "
+                         f"monomial of weight {l + m - n}")
+    ew = podles_word(m if l >= 0 else n, -l)
+    return ew, -_embed_word(ew)[1]
+
+
+def _map_words(p, target, word_map):
+    # word_map is injective on normal words, so no two terms collide
+    qp = p.alg.ctx.q_power
+    terms = {}
+    for w, c in p.terms.items():
+        mw, e = word_map(w)
+        terms[mw] = c * qp(e) if e else c
+    return NCPoly(target, terms)
 
 
 def embed_podles(p):
     """Algebra embedding of the sphere into QSL2."""
     if p.alg.id != PODLES:
         raise ValueError("embed_podles expects a PODLES element")
-    A = p.alg.ctx.A
-    out = A.zero()
-    for w, c in p.terms.items():
-        mono, unit = _embed_word(p.alg, w)
-        out = out + NCPoly(A, {mono: c * unit})
-    return out
-
-
-def _embed_word(B, w):
-    """Image of a normal sphere word: a single QSL2 word with a unit
-    coefficient (cached on the context)."""
-    cache = B.ctx._embed_cache
-    hit = cache.get(w)
-    if hit is not None:
-        return hit
-    A = B.ctx.A
-    free = ()
-    for g in w:
-        free = free + _EMBED_GEN_WORDS[g]
-    terms = A.reduce_terms({free: A.field.one})
-    if len(terms) != 1:
-        raise AssertionError("sphere monomial image is not monomial")
-    (mono, unit), = terms.items()
-    cache[w] = (mono, unit)
-    return mono, unit
+    return _map_words(p, p.alg.ctx.A, _embed_word)
 
 
 def express_in_podles(p):
@@ -596,23 +607,7 @@ def express_in_podles(p):
     """
     if p.alg.id != QSL2:
         raise ValueError("express_in_podles expects a QSL2 element")
-    B = p.alg.ctx.B
-    out = B.zero()
-    for w, c in p.terms.items():
-        l, m, n = qsl2_index(w)
-        if l + m - n != 0:
-            raise ValueError(
-                f"element is not in the sphere subalgebra: weight {l + m - n} "
-                f"monomial {p.alg.render_word(w)}")
-        # preimage of a^l b^m c^(m+l) is y0^m y-1^l, of b^(n-l) c^n d^(-l)
-        # is y0^n y1^(-l); both read as e_{i,j} with i = m or n, j = -l
-        i = m if l >= 0 else n
-        ew = podles_word(i, -l)
-        mono, unit = _embed_word(B, ew)
-        if mono != w:
-            raise AssertionError("sphere expression lookup failed")
-        out = out + NCPoly(B, {ew: c / unit})
-    return out
+    return _map_words(p, p.alg.ctx.B, _express_word)
 
 
 # ---------------------------------------------------------------------------
@@ -741,6 +736,8 @@ def _parse_atom(tokens, pos, alg):
 
 def _invert_poly(p):
     """Inverse of a scalar multiple of 1 or of a single LAURENT monomial."""
+    if not p.terms:
+        raise ValueError("division by zero")
     if len(p.terms) != 1:
         raise ValueError("can only invert scalars and grouplike monomials")
     (w, c), = p.terms.items()

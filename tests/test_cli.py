@@ -138,6 +138,27 @@ def test_env_override(monkeypatch, capsys):
     assert json.loads(out)["params"]["N"] == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("nf", "1/0"),
+    ("nf", "0^-1"),
+    ("--q", "3/2", "nf", "1/(q-3/2)"),
+])
+def test_division_by_zero_in_an_expression_is_named(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: division by zero\n"
+
+
+def test_zero_denominator_in_q_names_the_flag(monkeypatch, capsys):
+    code, out, err = run_cli(capsys, "--q", "1/0", "nf", "y0")
+    assert code == 2 and out == ""
+    assert err == "error: --q 1/0: division by zero\n"
+    monkeypatch.setenv("QSPHERE_Q", "1/0")
+    code, out, err = run_cli(capsys, "nf", "y0")
+    assert code == 2 and out == ""
+    assert err == "error: --q 1/0: division by zero\n"
+
+
 def test_malformed_env_values_are_usage_errors(monkeypatch, capsys):
     for name, raw in (("SEED", "abc"), ("TRIALS", "x"), ("N", "1.5"),
                       ("FORMAT", "xml")):

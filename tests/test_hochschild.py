@@ -20,10 +20,10 @@ MT = Bimodule("BxA")
 
 
 def test_b_on_constants():
-    phi = Cochain(0, MB, {(): B.gen("y0")}, 0)
+    phi = Cochain(0, MB, {(): B.gen("y0")})
     v = hochschild_b(phi).eval_words((podles_word(0, 1),))
     assert v == B.monomial(podles_word(1, 1)).scale(Q ** -2 - ONE)
-    one = Cochain(0, MB, {(): B.one()}, 0)
+    one = Cochain(0, MB, {(): B.one()})
     bone = hochschild_b(one)
     for m in filtration_basis(B, 2):
         assert bone.eval_words((m,)).is_zero()
@@ -31,7 +31,7 @@ def test_b_on_constants():
 
 def test_multilinear_evaluation_at_polys():
     phi = Cochain(1, MB, {(podles_word(1, 0),): B.gen("y0"),
-                          (podles_word(0, 1),): B.gen("y1")}, 1)
+                          (podles_word(0, 1),): B.gen("y1")})
     arg = B.gen("y0").scale(Q) - B.gen("y1")
     got = eval_cochain(phi, (arg,))
     assert got == B.gen("y0").scale(Q) - B.gen("y1")
@@ -61,7 +61,7 @@ def test_twisted_d_squared_zero_and_leading_term():
     # degree 0 at the unit coefficient: the value is the Sweedler tensor
     # sum y0_(1) (x) S(y0_(2)), which is nonzero (legs do not multiply)
     one_t = Tensor(B, A, {((), ()): ONE})
-    phi = Cochain(0, MT, {(): one_t}, 0)
+    phi = Cochain(0, MT, {(): one_t})
     got = twisted_d(phi).eval_words((podles_word(1, 0),))
     want = Tensor.zero(B, A)
     for lw, right in b_coproduct_grouped(B, podles_word(1, 0)).items():
@@ -91,7 +91,7 @@ def test_xi_degree1_explicit_value():
     # phi supported on y0 with value 1 (x) 1: xi(phi)(y0) sums the second
     # legs over the first-leg coefficient of y0 in Delta(y0)
     one_t = Tensor(B, A, {((), ()): ONE})
-    phi = Cochain(1, MT, {(podles_word(1, 0),): one_t}, 1)
+    phi = Cochain(1, MT, {(podles_word(1, 0),): one_t})
     got = xi(phi).eval_words((podles_word(1, 0),))
     want = Tensor.zero(B, A)
     groups = b_coproduct_grouped(B, podles_word(1, 0))
@@ -101,7 +101,7 @@ def test_xi_degree1_explicit_value():
 
 
 def test_xi_requires_right_action():
-    phi = Cochain(1, MB, {(podles_word(1, 0),): B.one()}, 1)
+    phi = Cochain(1, MB, {(podles_word(1, 0),): B.one()})
     with pytest.raises(ValueError):
         xi(phi)
     with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ B = get_algebra(PODLES)
 
 print("== the omega family ==")
 for n in (-1, 0, 1, 2):
-    names = [A.render_word(m) for m in omega_basis(n, 0, 2)]
+    names = [A.render_word(m) for m in omega_basis(n, 2)]
     print(f"  weight {n:+d}, length <= 2: {names}")
 
 print()

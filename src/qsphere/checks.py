@@ -18,6 +18,7 @@ report carries both the asserted and the actual values.
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 
@@ -79,7 +80,7 @@ def check_confluence(seed=42, trials=1000, maxlen=8, field=SYMBOLIC):
 def check_koszul_exactness(levels=(2, 6, 10), field=SYMBOLIC):
     """d1 o d2 = 0 symbolically and vanishing truncated homology defects."""
     t0 = time.perf_counter()
-    sym = koszul.koszul_d2_d1_zero(6, field)
+    sym = koszul.koszul_d2_d1_zero(max(levels), field)
     defects = {}
     for N in levels:
         r = koszul.exactness_check(N, field)
@@ -384,16 +385,13 @@ CHECKS = {
 
 
 def run_all(seed=42, field=SYMBOLIC, trials=None):
-    """Run every check in name order; returns (reports, all_pass)."""
+    """Run every check in name order, passing seed (and trials, when given)
+    to each check whose signature takes it; returns (reports, all_pass)."""
+    given = {"seed": seed, "trials": trials}
     reports = []
     for name in sorted(CHECKS):
         fn = CHECKS[name]
-        kwargs = {"field": field}
-        if name in ("confluence", "conjugation-law", "character-action",
-                    "convolution-transes"):
-            kwargs["seed"] = seed
-        if trials is not None and name in ("confluence", "conjugation-law",
-                                           "character-action"):
-            kwargs["trials"] = trials
-        reports.append(fn(**kwargs))
+        takes = inspect.signature(fn).parameters
+        reports.append(fn(field=field, **{k: v for k, v in given.items()
+                                           if k in takes and v is not None}))
     return reports, all(r["pass"] for r in reports)

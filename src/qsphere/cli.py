@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 
 from . import checks, duality, hochschild, koszul
@@ -186,6 +187,7 @@ def _parse_chi(raw, field):
 
 
 def run(args):
+    t0 = time.perf_counter()
     field = _field(args)
     cmd = args.command
 
@@ -228,20 +230,19 @@ def run(args):
     if cmd == "ext":
         r = koszul.ext_counit_module(args.N, field)
         ok = list(r["dims"]) == [0, 0, 1]
-        _emit(args, {"check": "ext", "params": {"N": args.N},
-                     "result": {"dims": list(r["dims"]),
-                                "character": {k: field.render(v)
-                                              for k, v in r["character"].items()},
-                                "stable": r["stable"]},
-                     "expected": {"dims": [0, 0, 1]},
-                     "pass": ok, "elapsed_ms": 0})
+        result = {"dims": list(r["dims"]),
+                  "character": {k: field.render(v)
+                                for k, v in r["character"].items()},
+                  "stable": r["stable"]}
+        _emit(args, checks._report("ext", {"N": args.N}, result,
+                                   {"dims": [0, 0, 1]}, ok, t0))
         return 0 if ok else 1
 
     if cmd == "zeta":
         _, rep = koszul.zeta_matrix(args.jmax, field)
-        _emit(args, {"check": "zeta", "params": {"jmax": args.jmax},
-                     "result": rep, "expected": {"full_column_rank": True},
-                     "pass": rep["full_column_rank"], "elapsed_ms": 0})
+        _emit(args, checks._report("zeta", {"jmax": args.jmax}, rep,
+                                   {"full_column_rank": True},
+                                   rep["full_column_rank"], t0))
         return 0 if rep["full_column_rank"] else 1
 
     if cmd == "h0-table":
@@ -267,7 +268,7 @@ def run(args):
 
     if cmd == "omega-basis":
         A = get_algebra(QSL2, field)
-        basis = duality.omega_basis(args.n, args.m, args.N, field)
+        basis = duality.omega_basis(args.n, args.N, field)
         _emit(args, {"result": [A.render_word(w) for w in basis],
                      "params": {"n": args.n, "m": args.m, "N": args.N}})
         return 0
@@ -285,19 +286,18 @@ def run(args):
 
     if cmd == "transes-check":
         r = duality.transes_check(args.N, None, field)
-        _emit(args, {"check": "transes", "params": {"maxlen": args.N},
-                     "result": {"failures": r["failures"]},
-                     "expected": {"failures": []},
-                     "pass": r["pass"], "elapsed_ms": 0})
+        _emit(args, checks._report("transes", {"maxlen": args.N},
+                                   {"failures": r["failures"]},
+                                   {"failures": []}, r["pass"], t0))
         return 0 if r["pass"] else 1
 
     if cmd == "sigma-inv-check":
         r = duality.sigma_inverse_check(args.N, field)
-        _emit(args, {"check": "sigma-inv", "params": {"N": args.N},
-                     "result": {"ray_failures": r["ray_failures"],
-                                "roundtrip_failures": r["roundtrip_failures"]},
-                     "expected": {"ray_failures": [], "roundtrip_failures": []},
-                     "pass": r["pass"], "elapsed_ms": 0})
+        _emit(args, checks._report(
+            "sigma-inv", {"N": args.N},
+            {"ray_failures": r["ray_failures"],
+             "roundtrip_failures": r["roundtrip_failures"]},
+            {"ray_failures": [], "roundtrip_failures": []}, r["pass"], t0))
         return 0 if r["pass"] else 1
 
     if cmd == "verify-all":

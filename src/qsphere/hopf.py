@@ -119,6 +119,8 @@ def leg_product(left, right, lmul, rmul, field):
     """
     one, zero = field.one, field.is_zero
     out = {}
+    # the `is one` skips pay: without them sigma-q passes ran 37 % slower
+    # (0 of 5 alternating pairs faster, 2-CPU VM)
     for (l1, r1), c1 in left.items():
         for (l2, r2), c2 in right.items():
             c12 = c1 if c2 is one else c2 if c1 is one else c1 * c2
@@ -208,7 +210,7 @@ def b_coproduct_word(B, w):
     for (lw, rw), c in _cop_word(B.ctx.A, aw).items():
         # _express_word is injective, so no two terms collide
         bw, e1 = _express_word(lw)
-        out[(bw, rw)] = c * B.ctx.q_power(e + e1) if e + e1 else c
+        out[(bw, rw)] = c * B.ctx.q_power(e + e1)
     cache[w] = out
     return out
 
@@ -294,8 +296,7 @@ def _antipode_even(p, m):
     qp = alg.ctx.q_power
     terms = {}
     for w, c in p.terms.items():
-        k = sum(exps[g] for g in w) * m
-        terms[w] = c * qp(k) if k else c
+        terms[w] = c * qp(sum(exps[g] for g in w) * m)
     return NCPoly(alg, terms)
 
 
@@ -332,8 +333,7 @@ def _antipode_once(p):
     terms = {}
     for w, c in p.terms.items():
         sw, neg, e = s_word(w)
-        if e:
-            c = c * qp(e)
+        c = c * qp(e)
         terms[sw] = -c if neg else c
     return NCPoly(alg, terms)
 

@@ -12,7 +12,8 @@ truncations, computes the reduction calculus of the quotient B/B*z-1 two
 independent ways (row reduction against the ideal's truncated column space,
 and an iterated single-step rewriting oracle), assembles the matrix of the
 multiplication map zeta: nu(a) |-> nu(a*z1) on the quotient, and computes
-the truncated Ext of the counit module from the dualised complex.
+the truncated Ext of the counit module from the dualised complex; it and
+exactness share one defect count, _truncated_defects.
 
 A fact the calculus hinges on: in B/B*z-1 the trailing-generator rule is
 nu(b*y-1) = -nu(b*y0), and the minus sign propagates.  Reducing
@@ -74,20 +75,31 @@ def _pair_vec(pair):
     return out
 
 
+def _truncated_defects(field, B, N, top, middle):
+    """(dim ker top, dim ker middle, outside) for maps top: F_N -> pairs
+    and middle: (tag, word) columns -> F_N, with `outside` the vectors of
+    ker middle not in top(F_{N+1}), each joining the span once found (the
+    larger level keeps spurious boundary defects out)."""
+    basis = filtration_basis(B, N)
+    top_dim = len(kernel(field, basis, top))
+    ker = kernel(field, [(t, w) for t in (0, 1) for w in basis], middle)
+    span = Echelon(field)
+    for w in filtration_basis(B, N + 1):
+        span.add(top(w))
+    return top_dim, len(ker), sum(1 for v in ker if span.add(v) is not None)
+
+
 def exactness_check(N, field=SYMBOLIC):
     """Truncated homology defects of the Koszul complex.
 
     H2: kernel of d2 on F_N (must be zero).  H1: kernel of d1 on
-    F_N (+) F_N, checked for containment in d2(F_{N+1}) -- the image is
-    taken from the enlarged filtration level so no spurious boundary
-    defects appear.  Both defect dimensions are reported.
+    F_N (+) F_N, checked for containment in d2(F_{N+1}).  Both defect
+    dimensions are reported.
     """
     if N < 2:
         raise ValueError("exactness_check needs N >= 2")
     K = KoszulComplex(field)
     B = K.B
-    basis_N = filtration_basis(B, N)
-    basis_N1 = filtration_basis(B, N + 1)
 
     def d2(w):
         return _pair_vec(K.d2(B.monomial(w)))
@@ -97,23 +109,9 @@ def exactness_check(N, field=SYMBOLIC):
         p = B.monomial(w)
         return (K.d1((p, B.zero())) if t == 0 else K.d1((B.zero(), p))).terms
 
-    # H2: kernel of d2 restricted to F_N
-    h2_defect = len(kernel(field, basis_N, d2))
-    # H1: kernel of d1 on F_N (+) F_N, contained in d2(F_{N+1})?
-    ker1 = kernel(field, [(t, w) for t in (0, 1) for w in basis_N], d1)
-    h1_defect = _outside(field, ker1, map(d2, basis_N1))
-
+    h2_defect, kernel_dim, h1_defect = _truncated_defects(field, B, N, d2, d1)
     return {"N": N, "H1_defect_dim": h1_defect, "H2_defect_dim": h2_defect,
-            "kernel_dim": len(ker1), "image_source_level": N + 1}
-
-
-def _outside(field, vectors, image):
-    """How many of `vectors` fall outside the span of `image`, each vector
-    found outside joining the span before the next is tested."""
-    span = Echelon(field)
-    for v in image:
-        span.add(v)
-    return sum(1 for vec in vectors if span.add(vec) is not None)
+            "kernel_dim": kernel_dim, "image_source_level": N + 1}
 
 
 # ---------------------------------------------------------------------------
@@ -145,23 +143,20 @@ def _nu_echelon(field, L):
     return ech
 
 
-def nu_reduce(p, N=None):
+def nu_reduce(p):
     """Coordinates of nu(p) in the quotient basis {nu(y0^(i+1)), nu(y1^i),
     nu(1)} of B/B*z-1.
 
     Computed by row reduction of p against the column space of the left
-    ideal inside the filtration F_N (never by the closed forms, which are
-    this operation's independent test targets).  The returned dict maps the
-    representing sphere words to coefficients.
+    ideal inside the filtration F_L, L the length of p (never by the closed
+    forms, which are this operation's independent test targets).  The
+    returned dict maps the representing sphere words to coefficients.
     """
     if p.alg.id != PODLES:
         raise ValueError("nu_reduce expects a PODLES element")
-    L = p.length()
-    if N is not None and N < L:
-        raise ValueError(f"filtration too small to contain p: need N >= {L}")
-    ech = _nu_echelon(p.alg.field, L if N is None else N)
-    rem = ech.reduce(p.terms)
-    assert all(_is_quotient_word(w) for w in rem), "reduction left a pivot"
+    rem = _nu_echelon(p.alg.field, p.length()).reduce(p.terms)
+    if not all(_is_quotient_word(w) for w in rem):
+        raise AssertionError("reduction left a pivot")
     return rem
 
 
@@ -232,12 +227,10 @@ class TruncatedMap:
     span of the codomain basis.
     """
 
-    def __init__(self, field, domain_basis, codomain_basis, images,
-                 N_cod=None):
+    def __init__(self, field, domain_basis, codomain_basis, images):
         self.field = field
         self.domain_basis = list(domain_basis)
         self.codomain_basis = list(codomain_basis)
-        self.N_cod = N_cod
         index = {w: r for r, w in enumerate(self.codomain_basis)}
         rows = len(self.codomain_basis)
         self.matrix = [[field.zero] * len(self.domain_basis) for _ in range(rows)]
@@ -284,7 +277,7 @@ def zeta_matrix(jmax, field=SYMBOLIC):
     dom = quotient_level_basis(jmax)
     cod = quotient_level_basis(jmax + 1)
     images = [nu_reduce(B.monomial(w) * z1) for w in dom]
-    tmap = TruncatedMap(field, dom, cod, images, N_cod=jmax + 2)
+    tmap = TruncatedMap(field, dom, cod, images)
 
     from .linalg import determinant
     rows = {w: r for r, w in enumerate(cod)}
@@ -343,8 +336,6 @@ def ext_counit_module(N, field=SYMBOLIC):
     z1, zm1 = K.z1, K.zm1
     qi = field.q_power(-1)
     q1 = field.q_power(1)
-    basis_N = filtration_basis(B, N)
-    basis_N1 = filtration_basis(B, N + 1)
 
     def d0_image(w):
         p = B.monomial(w)
@@ -355,12 +346,9 @@ def ext_counit_module(N, field=SYMBOLIC):
         p = B.monomial(w)
         return ((zm1 * p).scale(qi) if t == 0 else (z1 * p).scale(-q1)).terms
 
-    # degree 0: kernel of f |-> (z1*f, z-1*f)
-    d0 = len(kernel(field, basis_N, d0_image))
-
-    # degree 1: kernel of (f,g) |-> q^-1*z-1*f - q*z1*g vs image from above
-    ker1 = kernel(field, [(t, w) for t in (0, 1) for w in basis_N], d1_image)
-    d1 = _outside(field, ker1, map(d0_image, basis_N1))
+    # degree 0: kernel of f |-> (z1*f, z-1*f); degree 1: kernel of
+    # (f,g) |-> q^-1*z-1*f - q*z1*g against the image from above
+    d0, _, d1 = _truncated_defects(field, B, N, d0_image, d1_image)
 
     # degree 2: B/(z-1*B + z1*B) truncated; pivots prefer long words so the
     # echelon rows with short pivots give the intersection with F_N
@@ -368,12 +356,12 @@ def ext_counit_module(N, field=SYMBOLIC):
         return (0 if len(word) > N else 1, -len(word), word)
 
     ideal = Echelon(field, column_order=order)
-    for w in basis_N1:
+    for w in filtration_basis(B, N + 1):
         p = B.monomial(w)
         ideal.add((zm1 * p).terms)
         ideal.add((z1 * p).terms)
     inside = sum(1 for piv in ideal.rows if len(piv) <= N)
-    d2 = len(basis_N) - inside
+    d2 = len(filtration_basis(B, N)) - inside
 
     # the class of 1 spans degree 2; right multiplication by the generators
     # gives the character, read off one coordinate of the residue of 1 and

@@ -116,10 +116,6 @@ class AlgebraPreset:
     def mul_words(self, w1, w2):
         """Normal form of the concatenation of two normal words (cached):
         in closed form for QSL2, by rewriting for the other presets."""
-        if not w1:
-            return {w2: self.field.one}
-        if not w2:
-            return {w1: self.field.one}
         key = (w1, w2)
         hit = self._mul_cache.get(key)
         if hit is None:
@@ -247,9 +243,6 @@ class NCPoly:
         """Largest word length in the support (filtration level)."""
         return max((len(w) for w in self.terms), default=0)
 
-    def coeff(self, word):
-        return self.terms.get(tuple(word), self.alg.field.zero)
-
     def render(self):
         if not self.terms:
             return "0"
@@ -342,7 +335,8 @@ class Context:
         self._gauss_rows = {}
 
     def q_power(self, e):
-        """q^e in the field, memoised; q^0 is the field's own one object."""
+        """q^e in the field, memoised.  q^0 and gauss_row's end entries are
+        the field's own one, which hopf.leg_product's skips rely on."""
         hit = self._qpow_cache.get(e)
         if hit is None:
             hit = self._qpow_cache[e] = self.field.q_power(e)
@@ -538,6 +532,7 @@ def _qsl2_product(ctx, w1, w2):
     out = {}
     for r in range(k, -1, -1):
         c, g = qp(e + r * r + shift * r), row[r]
+        # an unmultiplied one keeps its identity for leg_product's skips
         out[qsl2_word(l, m + r, n + r)] = (
             c if g is one else g if c is one else c * g)
     return out
@@ -588,7 +583,7 @@ def _map_words(p, target, word_map):
     terms = {}
     for w, c in p.terms.items():
         mw, e = word_map(w)
-        terms[mw] = c * qp(e) if e else c
+        terms[mw] = c * qp(e)
     return NCPoly(target, terms)
 
 

@@ -1,9 +1,12 @@
 import csv
 import io
+import itertools
 import json
+import time
 
 import pytest
 
+from qsphere import koszul
 from qsphere.cli import main
 
 
@@ -118,6 +121,33 @@ def test_csv_and_out_file(tmp_path, capsys):
     lines = target.read_text().strip().splitlines()
     assert lines[0].startswith("check,pass")
     assert "koszul-exactness" in lines[1]
+
+
+def test_koszul_verify_checks_d1_d2_up_to_N(monkeypatch, capsys):
+    seen = []
+    real = koszul.koszul_d2_d1_zero
+
+    def spy(maxlen, field):
+        seen.append(maxlen)
+        return real(maxlen, field)
+
+    monkeypatch.setattr(koszul, "koszul_d2_d1_zero", spy)
+    code, out, _ = run_cli(capsys, "--q", "3/2", "koszul-verify", "--N", "8")
+    assert code == 0 and seen == [8]
+    assert json.loads(out)["result"]["d1_d2_levels"] == 8
+
+
+@pytest.mark.parametrize("argv", [["ext", "--N", "2"], ["zeta", "--jmax", "1"],
+                                  ["transes-check", "--N", "1"],
+                                  ["sigma-inv-check", "--N", "1"]])
+def test_check_commands_report_their_elapsed_time(monkeypatch, capsys, argv):
+    # a clock that advances one second per reading
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+    _, out, _ = run_cli(capsys, "--q", "3/2", *argv)
+    assert json.loads(out)["elapsed_ms"] >= 1000
+    _, out, _ = run_cli(capsys, "--q", "3/2", "--no-timing", *argv)
+    assert json.loads(out)["elapsed_ms"] == 0
 
 
 def test_csv_of_a_plain_payload_keeps_its_keys(capsys):

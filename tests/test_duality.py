@@ -23,31 +23,30 @@ B = get_algebra(PODLES)
 
 
 def test_omega_membership_examples():
-    assert omega_membership(A.gen("b"), 1, 0)
-    assert omega_membership(A.gen("b"), 1, 5)
-    assert omega_membership(A.gen("b") * A.gen("c"), 0, 1)
-    assert not omega_membership(A.gen("b"), 0, 0)
+    assert omega_membership(A.gen("b"), 1)
+    assert omega_membership(A.gen("b") * A.gen("c"), 0)
+    assert not omega_membership(A.gen("b"), 0)
 
 
 def test_omega_basis_examples_and_counts():
-    words = {A.render_word(m) for m in omega_basis(0, 0, 2)}
+    words = {A.render_word(m) for m in omega_basis(0, 2)}
     assert words == {"1", "b*c", "a*c", "d*b"}
-    words = {A.render_word(m) for m in omega_basis(1, 0, 1)}
+    words = {A.render_word(m) for m in omega_basis(1, 1)}
     assert words == {"a", "b"}
-    assert omega_basis(5, 0, 1) == []
+    assert omega_basis(5, 1) == []
     for n in range(-3, 4):
         for N in range(5):
             count = sum(1 for l in range(-N, N + 1)
                         for m in range(N - abs(l) + 1)
                         for nn in range(N - abs(l) - m + 1)
                         if l + m - nn == n)
-            assert len(omega_basis(n, 0, N)) == count
+            assert len(omega_basis(n, N)) == count
 
 
 def test_omega_module_actions_close():
     om = OmegaModule(1, 1)
     v = A.gen("b")
-    assert omega_membership(v, 1, 1)
+    assert omega_membership(v, 1)
     lv = om.act_left(B.gen("y0"), v)
     rv = om.act_right(v, B.gen("y0"))
     assert omega_membership(lv, 1)
@@ -65,7 +64,7 @@ def test_omega_product_instances():
     r = omega_product_check(0, 1, 0, 1, 3)
     assert r["membership_failures"] == 0
     # unit: products with 1 recover the left factor
-    om = omega_basis(1, 0, 2)
+    om = omega_basis(1, 2)
     for m in om:
         p = A.monomial(m) * A.one()
         assert omega_membership(p, 1)

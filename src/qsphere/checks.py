@@ -1,12 +1,16 @@
 """The verification suite: every headline identity as a structured check.
 
-Each check function returns a report dict
+A check is a function decorated with `@check(name)`: its body computes and
+returns (result, expected), and the decorator registers it in CHECKS and
+turns that pair into the report dict
 
     {check, params, result, expected, pass, elapsed_ms}
 
-with exact values rendered as text, so a run is machine-diffable.  run_all
-executes every check in name order with per-check seeded randomness and is
-deterministic for a fixed configuration.
+where params are the bound arguments less field, and pass holds iff result
+equals expected on every key of expected.  Values are exact and rendered as
+text, so a run is machine-diffable.  run_all executes every check in name
+order with per-check seeded randomness and is deterministic for a fixed
+configuration.
 
 One check is expected to stay red: zeta-injectivity asserts the y0-block
 entry pattern (diagonal q, subdiagonal 2) and the 2^j composite determinant
@@ -18,6 +22,7 @@ report carries both the asserted and the actual values.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import random
 import time
@@ -29,28 +34,49 @@ from .ncalg import (PODLES, QSL2, embed_podles, filtration_basis,
 from .scalars import SYMBOLIC, q_bracket, q_int_bracket
 
 
-def _report(check, params, result, expected, ok, t0):
+CHECKS = {}
+
+
+def _report(check, params, result, expected, t0):
+    """The report of one check; it passes iff result agrees with expected
+    on every key of expected (result may carry more keys)."""
     return {"check": check, "params": params, "result": result,
-            "expected": expected, "pass": bool(ok),
+            "expected": expected,
+            "pass": all(result[k] == v for k, v in expected.items()),
             "elapsed_ms": int((time.perf_counter() - t0) * 1000)}
+
+
+def check(name):
+    """Register a check under name.  The body returns (result, expected);
+    the wrapper rejects trials < 1, times the body and builds the report."""
+    def register(body):
+        sig = inspect.signature(body)
+
+        @functools.wraps(body)
+        def wrapper(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            params = {k: v for k, v in bound.arguments.items() if k != "field"}
+            if params.get("trials", 1) < 1:
+                raise ValueError(f"trials must be >= 1, got {params['trials']}")
+            t0 = time.perf_counter()
+            return _report(name, params, *body(*bound.args, **bound.kwargs), t0)
+
+        CHECKS[name] = wrapper
+        return wrapper
+    return register
 
 
 def _rng(seed, name):
     return random.Random(f"{seed}:{name}")
 
 
-def _check_trials(trials):
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-
-
 # ---------------------------------------------------------------------------
 
+@check("confluence")
 def check_confluence(seed=42, trials=1000, maxlen=8, field=SYMBOLIC):
     """Random words reduce to strategy-independent normal forms, and
     z-1*z1 - q^2*z1*z-1 normal-forms to zero."""
-    _check_trials(trials)
-    t0 = time.perf_counter()
     rng = _rng(seed, "confluence")
     mismatches = {}
     ctx = get_algebra(PODLES, field).ctx
@@ -70,45 +96,38 @@ def check_confluence(seed=42, trials=1000, maxlen=8, field=SYMBOLIC):
     z1 = B.gen("y1") + B.gen("y0")
     zm1 = B.gen("y-1") + B.gen("y0")
     rel = zm1 * z1 - (z1 * zm1).scale(field.q_power(2))
-    result = {"mismatches": mismatches, "z_relation": rel.render()}
-    expected = {"mismatches": {a: 0 for a in mismatches}, "z_relation": "0"}
-    ok = all(v == 0 for v in mismatches.values()) and rel.is_zero()
-    return _report("confluence", {"seed": seed, "trials": trials,
-                                  "maxlen": maxlen}, result, expected, ok, t0)
+    return ({"mismatches": mismatches, "z_relation": rel.render()},
+            {"mismatches": {a: 0 for a in mismatches}, "z_relation": "0"})
 
 
+@check("koszul-exactness")
 def check_koszul_exactness(levels=(2, 6, 10), field=SYMBOLIC):
     """d1 o d2 = 0 symbolically and vanishing truncated homology defects."""
-    t0 = time.perf_counter()
     sym = koszul.koszul_d2_d1_zero(max(levels), field)
     defects = {}
     for N in levels:
         r = koszul.exactness_check(N, field)
         defects[N] = (r["H1_defect_dim"], r["H2_defect_dim"])
-    result = {"d1_d2_zero": sym, "defects": {str(k): v for k, v in defects.items()}}
-    expected = {"d1_d2_zero": True,
-                "defects": {str(k): (0, 0) for k in levels}}
-    ok = sym and all(v == (0, 0) for v in defects.values())
-    return _report("koszul-exactness", {"levels": list(levels)},
-                   result, expected, ok, t0)
+    return ({"d1_d2_zero": sym,
+             "defects": {str(k): v for k, v in defects.items()}},
+            {"d1_d2_zero": True, "defects": {str(k): (0, 0) for k in levels}})
 
 
+@check("ext-concentration")
 def check_ext_concentration(N=8, field=SYMBOLIC):
     """Truncated Ext of the counit module: dims (0, 0, 1), character 0."""
-    t0 = time.perf_counter()
     r = koszul.ext_counit_module(N, field)
     char = {k: field.render(v) for k, v in r["character"].items()}
-    result = {"dims": list(r["dims"]), "character": char}
-    expected = {"dims": [0, 0, 1],
-                "character": {"y-1": "0", "y0": "0", "y1": "0"}}
-    ok = result == expected
-    return _report("ext-concentration", {"N": N}, result, expected, ok, t0)
+    return ({"dims": list(r["dims"]), "character": char},
+            {"dims": [0, 0, 1], "character": {"y-1": "0", "y0": "0", "y1": "0"}})
 
 
+@check("nu-closed-forms")
 def check_nu_closed_forms(maxtotal=10, bracket_max=6, field=SYMBOLIC):
     """nu_reduce against the closed forms and the independent oracle, and
     the bracket coefficient pinned by the oracle."""
-    t0 = time.perf_counter()
+    if maxtotal < 0:
+        raise ValueError(f"maxtotal must be >= 0, got {maxtotal}")
     B = get_algebra(PODLES, field)
     ym1_failures = []
     oracle_failures = []
@@ -135,18 +154,15 @@ def check_nu_closed_forms(maxtotal=10, bracket_max=6, field=SYMBOLIC):
                 bracket_failures.append((j, r))
             if extracted != q_int_bracket(j, r, field):
                 rival_rejected = True
-    result = {"ym1_closed_form_failures": ym1_failures,
-              "oracle_failures": oracle_failures,
-              "bracket_failures": bracket_failures,
-              "rival_candidate_rejected": rival_rejected}
-    expected = {"ym1_closed_form_failures": [], "oracle_failures": [],
-                "bracket_failures": [], "rival_candidate_rejected": True}
-    ok = result == expected
-    return _report("nu-closed-forms",
-                   {"maxtotal": maxtotal, "bracket_max": bracket_max},
-                   result, expected, ok, t0)
+    return ({"ym1_closed_form_failures": ym1_failures,
+             "oracle_failures": oracle_failures,
+             "bracket_failures": bracket_failures,
+             "rival_candidate_rejected": rival_rejected},
+            {"ym1_closed_form_failures": [], "oracle_failures": [],
+             "bracket_failures": [], "rival_candidate_rejected": True})
 
 
+@check("zeta-injectivity")
 def check_zeta_injectivity(jmax=8, field=SYMBOLIC):
     """Full column rank of zeta for every level, plus the asserted entry
     pattern (diagonal q, subdiagonal 2, composite determinant 2^j).
@@ -156,7 +172,8 @@ def check_zeta_injectivity(jmax=8, field=SYMBOLIC):
     determinant 0) and this check reports them honestly as failed; the
     actual values and the certifying nonzero determinant are included.
     """
-    t0 = time.perf_counter()
+    if jmax < 1:
+        raise ValueError(f"jmax must be >= 1, got {jmax}")
     ranks_ok = True
     details = {}
     pattern_ok = True
@@ -175,22 +192,19 @@ def check_zeta_injectivity(jmax=8, field=SYMBOLIC):
             "expected_composite_det": want_det,
             "injectivity_det": rep["det_rows_without_nu_1_top"],
         }
-    result = {"full_column_rank": ranks_ok,
-              "pattern_diag_q_subdiag_2": pattern_ok,
-              "composite_det_2j": det_ok,
-              "levels": details}
-    expected = {"full_column_rank": True, "pattern_diag_q_subdiag_2": True,
-                "composite_det_2j": True}
-    ok = ranks_ok and pattern_ok and det_ok
-    return _report("zeta-injectivity", {"jmax": jmax}, result, expected, ok, t0)
+    return ({"full_column_rank": ranks_ok,
+             "pattern_diag_q_subdiag_2": pattern_ok,
+             "composite_det_2j": det_ok, "levels": details},
+            {"full_column_rank": True, "pattern_diag_q_subdiag_2": True,
+             "composite_det_2j": True})
 
 
+@check("h0-grid")
 def check_h0_grid(imax=6, jmax=3, field=SYMBOLIC):
     """Twisted-center dimensions and representatives over the full grid,
     including the j = 0 slice (nonzero only at i = 0)."""
     if imax < 0 or jmax < 0:
         raise ValueError(f"imax and jmax must be >= 0, got {imax} and {jmax}")
-    t0 = time.perf_counter()
     A = get_algebra(QSL2, field)
     grid = {}
     ok = True
@@ -211,11 +225,9 @@ def check_h0_grid(imax=6, jmax=3, field=SYMBOLIC):
                 "ok": cell_ok}
     slice_ok = all(grid[f"{i},0"]["dim"] == (1 if i == 0 else 0)
                    for i in range(-imax, imax + 1))
-    result = {"all_cells_ok": ok, "j0_slice_nonzero_only_at_0": slice_ok,
-              "grid": grid}
-    expected = {"all_cells_ok": True, "j0_slice_nonzero_only_at_0": True}
-    return _report("h0-grid", {"imax": imax, "jmax": jmax},
-                   result, expected, ok and slice_ok, t0)
+    return ({"all_cells_ok": ok, "j0_slice_nonzero_only_at_0": slice_ok,
+             "grid": grid},
+            {"all_cells_ok": True, "j0_slice_nonzero_only_at_0": True})
 
 
 def _identity_window(rng, degree, field):
@@ -234,11 +246,10 @@ def _identity_window(rng, degree, field):
             + hochschild.random_argument_tuples(rng, 3, 2, 1, field))
 
 
+@check("conjugation-law")
 def check_conjugation_law(seed=42, trials=100, field=SYMBOLIC):
     """b o xi = xi o d on seeded random BxA-valued cochains of degree <= 2
     and support filtration <= 3."""
-    _check_trials(trials)
-    t0 = time.perf_counter()
     rng = _rng(seed, "conjugation")
     M = hochschild.Bimodule("BxA", field)
     failures = 0
@@ -250,16 +261,13 @@ def check_conjugation_law(seed=42, trials=100, field=SYMBOLIC):
         win = _identity_window(rng, degree, field)
         if not hochschild.cochains_equal(lhs, rhs, win):
             failures += 1
-    result = {"failures": failures}
-    return _report("conjugation-law", {"seed": seed, "trials": trials},
-                   result, {"failures": 0}, failures == 0, t0)
+    return {"failures": failures}, {"failures": 0}
 
 
+@check("character-action")
 def check_character_action(seed=42, trials=50, field=SYMBOLIC):
     """b(X phi) = X(b phi) for seeded random characters and cochains of
     degree <= 1 with support filtration <= 3."""
-    _check_trials(trials)
-    t0 = time.perf_counter()
     rng = _rng(seed, "character")
     M = hochschild.Bimodule("BxA", field)
     failures = 0
@@ -274,16 +282,14 @@ def check_character_action(seed=42, trials=50, field=SYMBOLIC):
         win = _identity_window(rng, degree, field)
         if not hochschild.cochains_equal(lhs, rhs, win):
             failures += 1
-    result = {"failures": failures}
-    return _report("character-action", {"seed": seed, "trials": trials},
-                   result, {"failures": 0}, failures == 0, t0)
+    return {"failures": failures}, {"failures": 0}
 
 
+@check("sigma-inverse")
 def check_sigma(N=8, membership_len=5, field=SYMBOLIC):
     """sigma scales the basis ray e_{ij} by q^(-2j) (i + |j| <= N), the
     explicit left inverse undoes it, sigma preserves the defining
     relations, and S^(+-2) keeps sphere monomials in the sphere."""
-    t0 = time.perf_counter()
     B = get_algebra(PODLES, field)
     inv = duality.sigma_inverse_check(N, field)
     # relation preservation: apply sigma to both sides of each relation
@@ -305,21 +311,18 @@ def check_sigma(N=8, membership_len=5, field=SYMBOLIC):
         for power in (2, -2):
             if not coideal_membership(antipode(e, power)):
                 stab_failures.append((B.render_word(w), power))
-    result = {"ray_failures": inv["ray_failures"],
-              "roundtrip_failures": inv["roundtrip_failures"],
-              "relations_preserved": rel_ok,
-              "s2_stability_failures": stab_failures}
-    expected = {"ray_failures": [], "roundtrip_failures": [],
-                "relations_preserved": True, "s2_stability_failures": []}
-    ok = result == expected
-    return _report("sigma-inverse", {"N": N, "membership_len": membership_len},
-                   result, expected, ok, t0)
+    return ({"ray_failures": inv["ray_failures"],
+             "roundtrip_failures": inv["roundtrip_failures"],
+             "relations_preserved": rel_ok,
+             "s2_stability_failures": stab_failures},
+            {"ray_failures": [], "roundtrip_failures": [],
+             "relations_preserved": True, "s2_stability_failures": []})
 
 
+@check("convolution-transes")
 def check_convolution_transes(maxlen=5, seed=42, field=SYMBOLIC):
     """(chi * gamma) = counit on sphere basis monomials, and the averaging
     map beta is an idempotent right-linear projection onto the sphere."""
-    t0 = time.perf_counter()
     rng = _rng(seed, "transes")
     A = get_algebra(QSL2, field)
     B = A.ctx.B
@@ -337,20 +340,17 @@ def check_convolution_transes(maxlen=5, seed=42, field=SYMBOLIC):
         b = B.monomial(rng.choice(pool_b))
         if duality.beta_projection(x * embed_podles(b)) != duality.beta_projection(x) * b:
             lin_failures += 1
-    result = {"transes_failures": tr["failures"],
-              "beta_identity_failures": idem_failures,
-              "beta_linearity_failures": lin_failures}
-    expected = {"transes_failures": [], "beta_identity_failures": [],
-                "beta_linearity_failures": 0}
-    ok = result == expected
-    return _report("convolution-transes", {"maxlen": maxlen, "seed": seed},
-                   result, expected, ok, t0)
+    return ({"transes_failures": tr["failures"],
+             "beta_identity_failures": idem_failures,
+             "beta_linearity_failures": lin_failures},
+            {"transes_failures": [], "beta_identity_failures": [],
+             "beta_linearity_failures": 0})
 
 
+@check("omega-products")
 def check_omega_products(N=4, field=SYMBOLIC):
     """Zero membership failures among all pairwise products of truncated
     omega bases for weights in {-1,0,1} and twists in {0,1}."""
-    t0 = time.perf_counter()
     failures = {}
     total = 0
     for n in (-1, 0, 1):
@@ -361,28 +361,11 @@ def check_omega_products(N=4, field=SYMBOLIC):
                     total += r["membership_failures"]
                     if r["membership_failures"]:
                         failures[f"({n},{m})x({i},{j})"] = r["membership_failures"]
-    result = {"membership_failures": total, "failing_cells": failures}
-    expected = {"membership_failures": 0, "failing_cells": {}}
-    ok = total == 0
-    return _report("omega-products", {"N": N}, result, expected, ok, t0)
+    return ({"membership_failures": total, "failing_cells": failures},
+            {"membership_failures": 0, "failing_cells": {}})
 
 
 # ---------------------------------------------------------------------------
-
-CHECKS = {
-    "character-action": check_character_action,
-    "confluence": check_confluence,
-    "conjugation-law": check_conjugation_law,
-    "convolution-transes": check_convolution_transes,
-    "ext-concentration": check_ext_concentration,
-    "h0-grid": check_h0_grid,
-    "koszul-exactness": check_koszul_exactness,
-    "nu-closed-forms": check_nu_closed_forms,
-    "omega-products": check_omega_products,
-    "sigma-inverse": check_sigma,
-    "zeta-injectivity": check_zeta_injectivity,
-}
-
 
 def run_all(seed=42, field=SYMBOLIC, trials=None):
     """Run every check in name order, passing seed (and trials, when given)

@@ -229,21 +229,21 @@ def run(args):
 
     if cmd == "ext":
         r = koszul.ext_counit_module(args.N, field)
-        ok = list(r["dims"]) == [0, 0, 1]
-        result = {"dims": list(r["dims"]),
-                  "character": {k: field.render(v)
-                                for k, v in r["character"].items()},
-                  "stable": r["stable"]}
-        _emit(args, checks._report("ext", {"N": args.N}, result,
-                                   {"dims": [0, 0, 1]}, ok, t0))
-        return 0 if ok else 1
+        # stable: one more filtration level leaves the dims unchanged
+        nxt = koszul.ext_counit_module(args.N + 1, field)
+        rep = checks._report("ext", {"N": args.N}, {
+            "dims": list(r["dims"]),
+            "character": {k: field.render(v) for k, v in r["character"].items()},
+            "stable": r["dims"] == nxt["dims"]}, {"dims": [0, 0, 1]}, t0)
+        _emit(args, rep)
+        return 0 if rep["pass"] else 1
 
     if cmd == "zeta":
-        _, rep = koszul.zeta_matrix(args.jmax, field)
-        _emit(args, checks._report("zeta", {"jmax": args.jmax}, rep,
-                                   {"full_column_rank": True},
-                                   rep["full_column_rank"], t0))
-        return 0 if rep["full_column_rank"] else 1
+        _, r = koszul.zeta_matrix(args.jmax, field)
+        rep = checks._report("zeta", {"jmax": args.jmax}, r,
+                             {"full_column_rank": True}, t0)
+        _emit(args, rep)
+        return 0 if rep["pass"] else 1
 
     if cmd == "h0-table":
         rep = checks.check_h0_grid(args.imax, args.jmax, field)
@@ -286,19 +286,20 @@ def run(args):
 
     if cmd == "transes-check":
         r = duality.transes_check(args.N, None, field)
-        _emit(args, checks._report("transes", {"maxlen": args.N},
-                                   {"failures": r["failures"]},
-                                   {"failures": []}, r["pass"], t0))
-        return 0 if r["pass"] else 1
+        rep = checks._report("transes", {"maxlen": args.N},
+                             {"failures": r["failures"]}, {"failures": []}, t0)
+        _emit(args, rep)
+        return 0 if rep["pass"] else 1
 
     if cmd == "sigma-inv-check":
         r = duality.sigma_inverse_check(args.N, field)
-        _emit(args, checks._report(
+        rep = checks._report(
             "sigma-inv", {"N": args.N},
             {"ray_failures": r["ray_failures"],
              "roundtrip_failures": r["roundtrip_failures"]},
-            {"ray_failures": [], "roundtrip_failures": []}, r["pass"], t0))
-        return 0 if r["pass"] else 1
+            {"ray_failures": [], "roundtrip_failures": []}, t0)
+        _emit(args, rep)
+        return 0 if rep["pass"] else 1
 
     if cmd == "verify-all":
         reports, ok = checks.run_all(seed=args.seed, field=field,

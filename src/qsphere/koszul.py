@@ -380,5 +380,4 @@ def ext_counit_module(N, field=SYMBOLIC):
             raise AssertionError(f"the residue of {g} is not a multiple of "
                                  "the residue of 1")
         character[g] = ratio
-    return {"N": N, "dims": (d0, d1, d2), "character": character,
-            "stable": N >= 4}
+    return {"N": N, "dims": (d0, d1, d2), "character": character}

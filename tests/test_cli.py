@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from qsphere import koszul
+from qsphere import duality, koszul
 from qsphere.cli import main
 
 
@@ -100,6 +100,41 @@ def test_zeta_and_checks_exit_codes(capsys):
     assert code == 0
     code, out, _ = run_cli(capsys, "sigma-inv-check", "--N", "2")
     assert code == 0
+
+
+def test_ext_is_stable_when_one_more_level_keeps_the_dims(monkeypatch,
+                                                          capsys):
+    code, out, _ = run_cli(capsys, "ext", "--N", "3")
+    assert code == 0 and json.loads(out)["result"]["stable"] is True
+    real = koszul.ext_counit_module
+
+    def shifted(N, field):
+        r = real(N, field)
+        return dict(r, dims=(0, 1, 1)) if N == 4 else r
+
+    monkeypatch.setattr(koszul, "ext_counit_module", shifted)
+    code, out, _ = run_cli(capsys, "ext", "--N", "3")
+    assert code == 0 and json.loads(out)["result"]["stable"] is False
+
+
+@pytest.mark.parametrize("argv, module, name, wrong", [
+    (["ext", "--N", "2"], koszul, "ext_counit_module",
+     lambda r: dict(r, dims=(1, 0, 1))),
+    (["zeta", "--jmax", "1"], koszul, "zeta_matrix",
+     lambda r: (r[0], dict(r[1], full_column_rank=False))),
+    (["transes-check", "--N", "1"], duality, "transes_check",
+     lambda r: dict(r, failures=["y0"])),
+    (["sigma-inv-check", "--N", "1"], duality, "sigma_inverse_check",
+     lambda r: dict(r, roundtrip_failures=["y0"])),
+])
+def test_check_commands_exit_1_when_result_contradicts_expected(
+        monkeypatch, capsys, argv, module, name, wrong):
+    code, out, _ = run_cli(capsys, "--q", "3/2", *argv)
+    assert code == 0 and json.loads(out)["pass"] is True
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: wrong(real(*a, **k)))
+    code, out, _ = run_cli(capsys, "--q", "3/2", *argv)
+    assert code == 1 and json.loads(out)["pass"] is False
 
 
 def test_determinism_byte_identical(capsys):

@@ -153,7 +153,6 @@ def test_ext_concentration_and_character():
     r = ext_counit_module(6)
     assert r["dims"] == (0, 0, 1)
     assert all(not v for v in r["character"].values())
-    assert r["stable"]
     # the ideal identity behind degree 2: q*z1*y-1 - q^-1*z-1*y0 = y0
     z1 = B.gen("y1") + B.gen("y0")
     zm1 = B.gen("y-1") + B.gen("y0")

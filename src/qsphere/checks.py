@@ -77,6 +77,8 @@ def _rng(seed, name):
 def check_confluence(seed=42, trials=1000, maxlen=8, field=SYMBOLIC):
     """Random words reduce to strategy-independent normal forms, and
     z-1*z1 - q^2*z1*z-1 normal-forms to zero."""
+    if maxlen < 0:
+        raise ValueError(f"maxlen must be >= 0, got {maxlen}")
     rng = _rng(seed, "confluence")
     mismatches = {}
     ctx = get_algebra(PODLES, field).ctx
@@ -103,6 +105,8 @@ def check_confluence(seed=42, trials=1000, maxlen=8, field=SYMBOLIC):
 @check("koszul-exactness")
 def check_koszul_exactness(levels=(2, 6, 10), field=SYMBOLIC):
     """d1 o d2 = 0 symbolically and vanishing truncated homology defects."""
+    if not levels:
+        raise ValueError("levels must name at least one filtration level")
     sym = koszul.koszul_d2_d1_zero(max(levels), field)
     defects = {}
     for N in levels:
@@ -290,6 +294,8 @@ def check_sigma(N=8, membership_len=5, field=SYMBOLIC):
     """sigma scales the basis ray e_{ij} by q^(-2j) (i + |j| <= N), the
     explicit left inverse undoes it, sigma preserves the defining
     relations, and S^(+-2) keeps sphere monomials in the sphere."""
+    if membership_len < 0:
+        raise ValueError(f"membership_len must be >= 0, got {membership_len}")
     B = get_algebra(PODLES, field)
     inv = duality.sigma_inverse_check(N, field)
     # relation preservation: apply sigma to both sides of each relation
@@ -323,6 +329,8 @@ def check_sigma(N=8, membership_len=5, field=SYMBOLIC):
 def check_convolution_transes(maxlen=5, seed=42, field=SYMBOLIC):
     """(chi * gamma) = counit on sphere basis monomials, and the averaging
     map beta is an idempotent right-linear projection onto the sphere."""
+    if maxlen < 0:
+        raise ValueError(f"maxlen must be >= 0, got {maxlen}")
     rng = _rng(seed, "transes")
     A = get_algebra(QSL2, field)
     B = A.ctx.B

@@ -188,6 +188,7 @@ class Functional:
     # -- evaluation ----------------------------------------------------------
 
     def on_word(self, w):
+        # a plain dict, not a Memo: through one cochain-sym ran 3-12 % slower
         v = self.table.get(w)
         if v is None:
             v = self.table[w] = self.value(w)

@@ -135,6 +135,7 @@ class LazyCochain:
 
     def eval_words(self, words):
         words = tuple(words)
+        # a plain dict, not a Memo: through one cochain-sym ran 3-12 % slower
         v = self._memo.get(words)
         if v is None:
             v = self.fn(words)

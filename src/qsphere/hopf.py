@@ -174,44 +174,39 @@ def coproduct(p):
 
 def _cop_word(alg, w):
     """Delta(w) of a normal word as a dict {(left word, right word): coeff}
-    (cached on the preset).
+    (cached on the preset)."""
+    return alg._cop_cache[w]
 
-    Delta(w) = Delta(w[:-1]) * Delta(w[-1]): the leg_product of the cached
-    prefix coproduct with the Sweedler terms of the last generator.
-    """
-    cache = alg._cop_cache
-    hit = cache.get(w)
-    if hit is not None:
-        return hit
+
+def _cop_word_of(alg, w):
+    # Delta(w) = Delta(w[:-1]) * Delta(w[-1]): the leg_product of the cached
+    # prefix coproduct with the Sweedler terms of the last generator
     one = alg.field.one
     if not w:
-        res = {((), ()): one}
-    else:
-        gen = dict.fromkeys(_COP_GEN[alg.id][w[-1]], one)
-        res = leg_product(_cop_word(alg, w[:-1]), gen, alg.mul_words,
-                          alg.mul_words, alg.field)
-    cache[w] = res
-    return res
+        return {((), ()): one}
+    gen = dict.fromkeys(_COP_GEN[alg.id][w[-1]], one)
+    return leg_product(_cop_word(alg, w[:-1]), gen, alg.mul_words,
+                       alg.mul_words, alg.field)
 
 
 def b_coproduct_word(B, w):
     """Coproduct of a sphere basis word with first legs re-expressed in the
-    sphere: dict {(sphere word, QSL2 word): coeff}.
+    sphere: dict {(sphere word, QSL2 word): coeff} (cached on the context).
 
     First legs of Delta(B) lie in B (x) A; a first leg outside the weight-0
     span would falsify that and raises.
     """
-    cache = B.ctx._bcop_cache
-    hit = cache.get(w)
-    if hit is not None:
-        return hit
+    return B.ctx._bcop_cache[w]
+
+
+def _b_coproduct_word_of(B, w):
     aw, e = _embed_word(w)
+    qp = B.ctx.q_power
     out = {}
     for (lw, rw), c in _cop_word(B.ctx.A, aw).items():
         # _express_word is injective, so no two terms collide
         bw, e1 = _express_word(lw)
-        out[(bw, rw)] = c * B.ctx.q_power(e + e1)
-    cache[w] = out
+        out[(bw, rw)] = c * qp[e + e1]
     return out
 
 
@@ -296,7 +291,7 @@ def _antipode_even(p, m):
     qp = alg.ctx.q_power
     terms = {}
     for w, c in p.terms.items():
-        terms[w] = c * qp(sum(exps[g] for g in w) * m)
+        terms[w] = c * qp[sum(exps[g] for g in w) * m]
     return NCPoly(alg, terms)
 
 
@@ -333,7 +328,7 @@ def _antipode_once(p):
     terms = {}
     for w, c in p.terms.items():
         sw, neg, e = s_word(w)
-        c = c * qp(e)
+        c = c * qp[e]
         terms[sw] = -c if neg else c
     return NCPoly(alg, terms)
 

@@ -126,20 +126,18 @@ def _is_quotient_word(word):
 def _nu_echelon(field, L):
     """Echelon of B*z-1 within filtration L, pivoted on reducible words
     (cached on the context)."""
-    B = get_algebra(PODLES, field)
-    cache = B.ctx._nu_cache
-    hit = cache.get(L)
-    if hit is not None:
-        return hit
+    return get_algebra(PODLES, field).ctx._nu_cache[L]
+
+
+def _nu_echelon_of(B, L):
     zm1 = B.gen("y-1") + B.gen("y0")
 
     def order(word):
         return (1 if _is_quotient_word(word) else 0, len(word), word)
 
-    ech = Echelon(field, column_order=order)
+    ech = Echelon(B.field, column_order=order)
     for w in filtration_basis(B, L - 1) if L >= 1 else ():
         ech.add((B.monomial(w) * zm1).terms)
-    cache[L] = ech
     return ech
 
 

@@ -24,17 +24,15 @@ normal words to nonzero field coefficients.  Bases are plain sequences of
 normal words (filtration_basis returns a cached tuple).
 
 One Context per coefficient field value holds the four presets (ctx.A,
-ctx.B, ctx.C, ctx.Z2) and every cache of computed structure; each preset
-reaches its companions through preset.ctx, and get_algebra is the one
-lookup from a field to them.  The Context also memoises the field's
-q-powers (_qpow_cache, through Context.q_power) and the Gaussian binomial
-rows in q^2 (_gauss_rows, through Context.gauss_row) that the closed-form
-QSL2 product and the per-word antipode use.
+ctx.B, ctx.C, ctx.Z2) and every cache of computed structure (listed in
+the Context docstring); each preset reaches its companions through
+preset.ctx, and get_algebra is the one lookup from a field to them.
 """
 
 from __future__ import annotations
 
 import re
+from functools import partial
 
 from .linalg import axpy
 from .scalars import SYMBOLIC, q_bracket
@@ -43,6 +41,21 @@ QSL2 = "QSL2"
 PODLES = "PODLES"
 LAURENT = "LAURENT"
 SMASH_Z2 = "SMASH_Z2"
+
+
+class Memo(dict):
+    """A cache that fills a missing key with fn(key), stores the value and
+    returns it; seed entries are never recomputed."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn, seed=()):
+        super().__init__(seed)
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 class Grading:
@@ -62,11 +75,8 @@ class AlgebraPreset:
     rules maps a 2-letter left-hand word to its normal replacement, a list
     of (coefficient, word) pairs.  Rewriting any occurrence of any left-hand
     side terminates and (by testing) is confluent, so normal forms do not
-    depend on the reduction strategy.
-
-    Per-preset caches: normal forms of word products (_mul_cache), word
-    coproducts (_cop_cache, filled by hopf._cop_word) and filtration bases
-    (_basis_cache).
+    depend on the reduction strategy.  Its caches are listed with the
+    Context's.
     """
 
     def __init__(self, ctx, alg_id, gens, rules, sort_ranks):
@@ -77,9 +87,12 @@ class AlgebraPreset:
         self.rules = rules
         self.sort_ranks = tuple(sort_ranks)
         self.gen_index = {g: i for i, g in enumerate(self.gens)}
-        self._mul_cache = {}
-        self._cop_cache = {}
-        self._basis_cache = {}
+        from .hopf import _cop_word_of
+        self._mul_cache = Memo(partial(_qsl2_product, ctx) if alg_id == QSL2
+                               else lambda k: self.reduce_terms(
+                                   {k[0] + k[1]: self.field.one}))
+        self._cop_cache = Memo(partial(_cop_word_of, self))
+        self._basis_cache = Memo(partial(_filtration_words, self))
 
     def __repr__(self):
         return f"AlgebraPreset({self.id}, field={self.field.name})"
@@ -116,15 +129,7 @@ class AlgebraPreset:
     def mul_words(self, w1, w2):
         """Normal form of the concatenation of two normal words (cached):
         in closed form for QSL2, by rewriting for the other presets."""
-        key = (w1, w2)
-        hit = self._mul_cache.get(key)
-        if hit is None:
-            if self.id == QSL2:
-                hit = _qsl2_product(self.ctx, w1, w2)
-            else:
-                hit = self.reduce_terms({w1 + w2: self.field.one})
-            self._mul_cache[key] = hit
-        return hit
+        return self._mul_cache[w1, w2]
 
     # -- element constructors --------------------------------------------------
 
@@ -287,16 +292,24 @@ class Context:
     """The four presets over one coefficient field: A = QSL2, B = PODLES,
     C = LAURENT and Z2 = SMASH_Z2, each pointing back here through .ctx.
 
-    Caches of the sphere inside QSL2: sphere-word coproducts (_bcop_cache,
-    filled by hopf.b_coproduct_word) and the echelons of the left ideal
-    B*z-1 per filtration level (_nu_cache, filled by koszul._nu_echelon);
-    the embedding itself is a closed form and needs no cache.  Scalar
-    caches: the powers q^e (_qpow_cache, filled by q_power) and the rows of
-    Gaussian binomials in q^2 (_gauss_rows, filled by gauss_row).  Like the
-    per-preset caches they are unbounded and live as long as the process.
+    Every cache of a field is a Memo, unbounded and process-lifetime, and
+    is filled by one function:
+
+      preset._mul_cache    (w1, w2) -> w1*w2: _qsl2_product or rewriting
+      preset._cop_cache    word -> its coproduct: hopf._cop_word_of
+      preset._basis_cache  N -> filtration basis: _filtration_words
+      ctx._bcop_cache      sphere word -> hopf._b_coproduct_word_of
+      ctx._nu_cache        L -> echelon of B*z-1 in F_L: koszul._nu_echelon_of
+      ctx.q_power          e -> q^e, seeded with q^0 = the field's one
+      ctx.gauss_row        k -> Gaussian binomials [k r] in q^2, r = 0..k
+
+    q_power[0] and the end entries of gauss_row are the field's own one,
+    which hopf.leg_product's skips rely on.
     """
 
     def __init__(self, field):
+        from .hopf import _b_coproduct_word_of
+        from .koszul import _nu_echelon_of
         self.field = field
         one = field.one
         qp = field.q_power
@@ -329,40 +342,21 @@ class Context:
             (1, 0): [(field.from_int(-1), (0, 1))],
         }, (0, 1))
         self.presets = {a.id: a for a in (self.A, self.B, self.C, self.Z2)}
-        self._bcop_cache = {}
-        self._nu_cache = {}
-        self._qpow_cache = {0: one}
-        self._gauss_rows = {}
-
-    def q_power(self, e):
-        """q^e in the field, memoised.  q^0 and gauss_row's end entries are
-        the field's own one, which hopf.leg_product's skips rely on."""
-        hit = self._qpow_cache.get(e)
-        if hit is None:
-            hit = self._qpow_cache[e] = self.field.q_power(e)
-        return hit
-
-    def gauss_row(self, k):
-        """The Gaussian binomials [k r] in q^2 for r = 0..k (memoised); the
-        end entries are the field's one object."""
-        row = self._gauss_rows.get(k)
-        if row is None:
-            row = self._gauss_rows[k] = [q_bracket(k, r, self.field)
-                                         for r in range(k + 1)]
-        return row
+        self._bcop_cache = Memo(partial(_b_coproduct_word_of, self.B))
+        self._nu_cache = Memo(partial(_nu_echelon_of, self.B))
+        self.q_power = Memo(qp, {0: one})
+        self.gauss_row = Memo(
+            lambda k: [q_bracket(k, r, field) for r in range(k + 1)])
 
 
-_CONTEXTS = {}
+_CONTEXTS = Memo(Context)
 
 
 def get_algebra(alg_id, field=SYMBOLIC):
     """The preset algebra bound to a coefficient field.  There is one
     Context per field value, so equal fields share presets and caches and
     their elements mix."""
-    ctx = _CONTEXTS.get(field)
-    if ctx is None:
-        ctx = _CONTEXTS[field] = Context(field)
-    alg = ctx.presets.get(alg_id)
+    alg = _CONTEXTS[field].presets.get(alg_id)
     if alg is None:
         raise ValueError(f"unknown algebra preset {alg_id!r}")
     return alg
@@ -376,9 +370,11 @@ def normal_form(expr, alg, strategy="leftmost"):
     """Normal form of a formal combination of generator words.
 
     expr may be an NCPoly, or a dict mapping words (tuples of generator
-    names or indices) to coefficients.
+    names or indices) to coefficients.  An NCPoly must belong to alg.
     """
     if isinstance(expr, NCPoly):
+        if expr.alg is not alg:
+            raise ValueError(f"algebra mismatch: {expr.alg.id} vs {alg.id}")
         return alg.poly(alg.reduce_terms(expr.terms, strategy))
     pairs = []
     for word, coeff in expr.items():
@@ -442,14 +438,13 @@ def filtration_basis(alg, N):
     (cached on the preset)."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    hit = alg._basis_cache.get(N)
-    if hit is not None:
-        return hit
+    return alg._basis_cache[N]
+
+
+def _filtration_words(alg, N):
     if alg.id == LAURENT:
         # in exponent order z^-N, ..., z^N rather than by sort_key
-        out = alg._basis_cache[N] = tuple(
-            laurent_word(k) for k in range(-N, N + 1))
-        return out
+        return tuple(laurent_word(k) for k in range(-N, N + 1))
     words = []
     if alg.id == PODLES:
         for i in range(N + 1):
@@ -465,8 +460,7 @@ def filtration_basis(alg, N):
             for i in range(N - e + 1):
                 words.append((0,) * e + (1,) * i)
     words.sort(key=alg.sort_key)
-    out = alg._basis_cache[N] = tuple(words)
-    return out
+    return tuple(words)
 
 
 def podles_word(i, j):
@@ -500,8 +494,9 @@ def qsl2_index(word):
     return counts[0] - counts[1], counts[2], counts[3]
 
 
-def _qsl2_product(ctx, w1, w2):
-    """f_{l1,m1,n1} * f_{l2,m2,n2} in normal form, from exponent vectors.
+def _qsl2_product(ctx, words):
+    """f_{l1,m1,n1} * f_{l2,m2,n2} in normal form, from exponent vectors,
+    for words = (w1, w2).
 
     b and c pass a^l2 (d^-l2 when l2 < 0) at q^(-l2(m1+n1)) and commute with
     each other, so only a^l1 a^l2 can make a sum.  With opposite signs it
@@ -516,22 +511,22 @@ def _qsl2_product(ctx, w1, w2):
     it at q^(-2rl).  Terms come in descending r, the order reduce_terms
     produces.
     """
-    l1, m1, n1 = qsl2_index(w1)
-    l2, m2, n2 = qsl2_index(w2)
+    l1, m1, n1 = qsl2_index(words[0])
+    l2, m2, n2 = qsl2_index(words[1])
     l, m, n = l1 + l2, m1 + m2, n1 + n2
     e = -l2 * (m1 + n1)
     qp = ctx.q_power
     if l1 * l2 >= 0:
-        return {qsl2_word(l, m, n): qp(e)}
+        return {qsl2_word(l, m, n): qp[e]}
     k = min(abs(l1), abs(l2))
-    row = ctx.gauss_row(k)
+    row = ctx.gauss_row[k]
     one = ctx.field.one
     shift = -2 * l if abs(l2) > abs(l1) else 0
     if l1 < 0:
         shift -= 2 * k
     out = {}
     for r in range(k, -1, -1):
-        c, g = qp(e + r * r + shift * r), row[r]
+        c, g = qp[e + r * r + shift * r], row[r]
         # an unmultiplied one keeps its identity for leg_product's skips
         out[qsl2_word(l, m + r, n + r)] = (
             c if g is one else g if c is one else c * g)
@@ -583,7 +578,7 @@ def _map_words(p, target, word_map):
     terms = {}
     for w, c in p.terms.items():
         mw, e = word_map(w)
-        terms[mw] = c * qp(e)
+        terms[mw] = c * qp[e]
     return NCPoly(target, terms)
 
 

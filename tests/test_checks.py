@@ -97,3 +97,15 @@ def test_size_guards_refuse_a_check_with_nothing_to_check():
         checks.check_zeta_injectivity(jmax=0)
     with pytest.raises(ValueError, match="maxtotal"):
         checks.check_nu_closed_forms(maxtotal=-1)
+
+
+@pytest.mark.parametrize("fn, kwargs, name", [
+    (checks.check_confluence, {"maxlen": -1}, "maxlen"),
+    (checks.check_koszul_exactness, {"levels": ()}, "levels"),
+    (checks.check_sigma, {"membership_len": -1}, "membership_len"),
+    (checks.check_convolution_transes, {"maxlen": -1}, "maxlen"),
+])
+def test_size_errors_name_their_argument(fn, kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        fn(**kwargs)
+

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from qsphere.ncalg import (LAURENT, PODLES, QSL2, SMASH_Z2, NCPoly,
+from qsphere.ncalg import (LAURENT, PODLES, QSL2, SMASH_Z2, Memo, NCPoly,
                            embed_podles, express_in_podles, filtration_basis,
                            get_algebra, grade_decompose, multiply,
                            normal_form, parse_expr, podles_degree,
                            podles_word, qsl2_degree, qsl2_index,
                            qsl2_weight, qsl2_word)
-from qsphere.scalars import ONE, Q, SYMBOLIC
+from qsphere.scalars import ONE, Q, SYMBOLIC, NumericField
 
 A = get_algebra(QSL2)
 B = get_algebra(PODLES)
@@ -28,6 +28,26 @@ def test_normal_form_examples():
     assert normal_form({(): 1}, A) == A.one()
     with pytest.raises(ValueError):
         normal_form({("w",): 1}, A)
+
+
+def test_normal_form_refuses_another_presets_or_fields_element():
+    with pytest.raises(ValueError, match="algebra mismatch"):
+        normal_form(A.gen("c") * A.gen("b"), B)
+    with pytest.raises(ValueError, match="algebra mismatch"):
+        normal_form(B.gen("y0") * B.gen("y1"),
+                    get_algebra(PODLES, NumericField("3/2")))
+
+
+def test_memo_computes_each_key_once_and_keeps_its_seed():
+    calls = []
+
+    def square(k):
+        calls.append(k)
+        return k * k
+
+    memo = Memo(square, {0: "seed"})
+    assert memo[3] == 9 and memo[3] == 9 and memo[0] == "seed"
+    assert calls == [3] and memo == {0: "seed", 3: 9}
 
 
 def test_multiply_examples():

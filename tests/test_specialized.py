@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from qsphere import checks
-from qsphere.hopf import _cop_word
+from qsphere.hopf import _cop_word, b_coproduct_word
 from qsphere.koszul import ext_counit_module, nu_reduce, nu_reduce_oracle
-from qsphere.ncalg import (PODLES, QSL2, filtration_basis, get_algebra,
-                           parse_expr, podles_word)
+from qsphere.linalg import Echelon
+from qsphere.ncalg import (PODLES, QSL2, Memo, filtration_basis,
+                           get_algebra, parse_expr, podles_word)
 from qsphere.scalars import (NumericField, RationalFunction, SYMBOLIC,
                              SymbolicField, specialize)
 
@@ -90,3 +91,41 @@ def test_symbolic_and_numeric_contexts_share_no_cache_entry():
         assert alg._cop_cache
         for cop in alg._cop_cache.values():
             assert all(type(c) is kind for c in cop.values())
+    # every Memo of both contexts and their presets, filled at level 2
+    memos = {}
+    for field, kind in ((SYMBOLIC, RationalFunction), (NUM, Fraction)):
+        ctx = get_algebra(QSL2, field).ctx
+        for alg in ctx.presets.values():
+            basis = filtration_basis(alg, 2)
+            for w1 in basis:
+                for w2 in basis:
+                    alg.mul_words(w1, w2)
+                if alg is not ctx.B:
+                    _cop_word(alg, w1)
+        for w in filtration_basis(ctx.B, 2):
+            b_coproduct_word(ctx.B, w)
+            nu_reduce(ctx.B.monomial(w))
+        owners = [("ctx", ctx)] + list(ctx.presets.items())
+        memos[field] = {(name, attr): m for name, owner in owners
+                        for attr, m in vars(owner).items()
+                        if isinstance(m, Memo)}
+        assert len(memos[field]) == 4 * 3 + 4
+        for key, memo in memos[field].items():
+            assert memo or key == (PODLES, "_cop_cache")
+            for value in memo.values():
+                assert all(type(c) is kind for c in _scalars(value))
+    assert memos[SYMBOLIC].keys() == memos[NUM].keys()
+    assert all(m is not memos[NUM][k] for k, m in memos[SYMBOLIC].items())
+
+
+def _scalars(value):
+    """The field elements held by one cache entry."""
+    if isinstance(value, Echelon):
+        return [c for row in value.rows.values() for c in row.values()]
+    if isinstance(value, dict):
+        return list(value.values())
+    if isinstance(value, list):
+        return value
+    if isinstance(value, tuple):    # a filtration basis holds only words
+        return []
+    return [value]

@@ -107,6 +107,8 @@ def check_koszul_exactness(levels=(2, 6, 10), field=SYMBOLIC):
     """d1 o d2 = 0 symbolically and vanishing truncated homology defects."""
     if not levels:
         raise ValueError("levels must name at least one filtration level")
+    if min(levels) < 2:
+        raise ValueError(f"levels must all be >= 2, got {min(levels)}")
     sym = koszul.koszul_d2_d1_zero(max(levels), field)
     defects = {}
     for N in levels:

@@ -222,6 +222,8 @@ def run(args):
         return 0
 
     if cmd == "koszul-verify":
+        if args.N < 2:
+            raise ValueError(f"--N {args.N}: koszul-verify needs N >= 2")
         rep = checks.check_koszul_exactness(levels=(args.N,), field=field)
         rep["result"]["d1_d2_levels"] = args.N
         _emit(args, rep)

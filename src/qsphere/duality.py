@@ -18,8 +18,8 @@ what hochschild.character_action takes.
 
 from __future__ import annotations
 
-from .hopf import (Tensor, antipode, b_coproduct_word, counit, _cop_word,
-                   left_coaction)
+from .hopf import (Tensor, antipode, b_coproduct_word, counit, _coact_word,
+                   _cop_word, left_coaction)
 from .hochschild import (Bimodule, sigma_map, validate_character_b,
                          weight_basis_words)
 from .linalg import Echelon, axpy
@@ -262,16 +262,20 @@ def haar_laurent(p):
 def beta_projection(x):
     """beta(x) = h(pi(x_(1))) x_(2), the projection of the coordinate ring
     onto the sphere along the coaction weight decomposition; the result is
-    returned in the sphere basis."""
+    returned in the sphere basis.
+
+    beta is (h (x) id) applied to the left coaction (pi (x) id) o Delta,
+    which is computed as an algebra map from the generators, so no full
+    coproduct is built."""
     if x.alg.id != QSL2:
         raise ValueError("beta_projection expects a QSL2 element")
     A = x.alg
     field = A.field
     acc = A.zero()
     for w, c in x.terms.items():
-        # h(pi(x_(1))) picks the terms whose first leg is 1
-        picked = axpy({}, ((rw, cc) for (lw, rw), cc in _cop_word(A, w).items()
-                           if lw == ()), field.is_zero, c)
+        # h(z^k) = delta_k0 picks the terms whose Laurent leg is 1
+        picked = axpy({}, ((rw, cc) for (zw, rw), cc in _coact_word(A, w).items()
+                           if zw == ()), field.is_zero, c)
         acc = acc + NCPoly(A, picked)
     return express_in_podles(acc)
 

@@ -6,7 +6,13 @@ with even powers diagonal on every preset's basis.  Tensors are kept fully
 expanded over pairs of normal words, so identities are decided by comparing
 canonical forms.  leg_product is the one leg-wise product of Sweedler
 tensors: word coproducts and Tensor products (and through them the actions
-on the BxA cochain carrier) multiply through it.  The sphere carries no intrinsic
+on the BxA cochain carrier) multiply through it.  A word's coproduct is
+split at its last run of equal letters, Delta(u) * Delta(g^k), so the
+preset's _cop_cache holds runs and run-split prefixes rather than every
+prefix.  The left coaction (pi (x) id) o Delta is an algebra map too: it is
+built from pi of the generators' Sweedler terms and cached per word in
+ctx._coact_cache, and left_coaction and duality.beta_projection read it
+without building a full coproduct.  The sphere carries no intrinsic
 coproduct; its Sweedler legs are computed through the closed-form embedding
 into QSL2, and first legs land back in the sphere (the coideal property),
 which b_coproduct certifies on every call.
@@ -179,13 +185,22 @@ def _cop_word(alg, w):
 
 
 def _cop_word_of(alg, w):
-    # Delta(w) = Delta(w[:-1]) * Delta(w[-1]): the leg_product of the cached
-    # prefix coproduct with the Sweedler terms of the last generator
+    # Delta(w) = Delta(u) * Delta(g^k), with g^k the last run of equal
+    # letters of w: the leg_product of two cached coproducts (for a PBW word
+    # a^l b^m c^n that is Delta(a^l b^m) * Delta(c^n)).  A single run g^k
+    # takes one letter at a time, Delta(g^(k-1)) * Delta(g), so the cache
+    # holds the runs and the run-split prefixes, not every prefix
     one = alg.field.one
     if not w:
         return {((), ()): one}
-    gen = dict.fromkeys(_COP_GEN[alg.id][w[-1]], one)
-    return leg_product(_cop_word(alg, w[:-1]), gen, alg.mul_words,
+    k = len(w) - 1    # w[k:] is the last run
+    while k and w[k - 1] == w[-1]:
+        k -= 1
+    if k:
+        u, last = w[:k], _cop_word(alg, w[k:])
+    else:
+        u, last = w[:-1], dict.fromkeys(_COP_GEN[alg.id][w[-1]], one)
+    return leg_product(_cop_word(alg, u), last, alg.mul_words,
                        alg.mul_words, alg.field)
 
 
@@ -201,12 +216,12 @@ def b_coproduct_word(B, w):
 
 def _b_coproduct_word_of(B, w):
     aw, e = _embed_word(w)
-    qp = B.ctx.q_power
+    q_scale = B.ctx.q_scale
     out = {}
     for (lw, rw), c in _cop_word(B.ctx.A, aw).items():
         # _express_word is injective, so no two terms collide
         bw, e1 = _express_word(lw)
-        out[(bw, rw)] = c * qp[e + e1]
+        out[(bw, rw)] = q_scale(c, e + e1)
     return out
 
 
@@ -288,10 +303,10 @@ def _antipode_even(p, m):
             terms[w] = c if (n_y * m) % 2 == 0 else -c
         return NCPoly(alg, terms)
     exps = _S2_EXP[alg.id]
-    qp = alg.ctx.q_power
+    q_scale = alg.ctx.q_scale
     terms = {}
     for w, c in p.terms.items():
-        terms[w] = c * qp[sum(exps[g] for g in w) * m]
+        terms[w] = q_scale(c, sum(exps[g] for g in w) * m)
     return NCPoly(alg, terms)
 
 
@@ -324,11 +339,11 @@ def _antipode_once(p):
     s_word = _S_WORD.get(alg.id)
     if s_word is None:
         raise ValueError(f"no antipode on {alg.id}")
-    qp = alg.ctx.q_power
+    q_scale = alg.ctx.q_scale
     terms = {}
     for w, c in p.terms.items():
         sw, neg, e = s_word(w)
-        c = c * qp[e]
+        c = q_scale(c, e)
         terms[sw] = -c if neg else c
     return NCPoly(alg, terms)
 
@@ -337,6 +352,13 @@ def _antipode_once(p):
 # the quotient pi: QSL2 -> LAURENT and the left coaction
 # ---------------------------------------------------------------------------
 
+def _pi_word(w):
+    """pi on a normal QSL2 word: the Laurent word z^l of a^l or d^-l, and
+    None for a word that pi kills (one holding b or c)."""
+    l, m, n = qsl2_index(w)
+    return laurent_word(l) if m == 0 and n == 0 else None
+
+
 def project_pi(p):
     """pi(a)=z, pi(d)=z^-1, pi(b)=pi(c)=0; on basis words a Kronecker delta."""
     if p.alg.id != QSL2:
@@ -344,22 +366,49 @@ def project_pi(p):
     C = p.alg.ctx.C
     out = C.zero()
     for w, c in p.terms.items():
-        l, m, n = qsl2_index(w)
-        if m == 0 and n == 0:
-            out = out + NCPoly(C, {laurent_word(l): c})
+        zw = _pi_word(w)
+        if zw is not None:
+            out = out + NCPoly(C, {zw: c})
     return out
 
 
+# (pi (x) id) o Delta on the generators: _COP_GEN's Sweedler terms of QSL2
+# with pi applied to the first leg, as (Laurent word, QSL2 word) pairs
+_COACT_GEN = {g: [(_pi_word(lw), rw) for lw, rw in terms
+                  if _pi_word(lw) is not None]
+              for g, terms in _COP_GEN[QSL2].items()}
+
+
+def _coact_word(A, w):
+    """(pi (x) id) o Delta(w) of a normal QSL2 word as a dict
+    {(Laurent word, QSL2 word): coeff} (cached on the context)."""
+    return A.ctx._coact_cache[w]
+
+
+def _coact_word_of(ctx, w):
+    # (pi (x) id) o Delta is an algebra map, so the coaction of w is the
+    # leg_product of the cached coaction of w[:-1] with the pi image of the
+    # last generator's Sweedler terms; no full coproduct is built
+    one = ctx.field.one
+    if not w:
+        return {((), ()): one}
+    gen = dict.fromkeys(_COACT_GEN[w[-1]], one)
+    return leg_product(_coact_word(ctx.A, w[:-1]), gen, ctx.C.mul_words,
+                       ctx.A.mul_words, ctx.field)
+
+
 def left_coaction(p):
-    """(pi (x) id) o Delta, a Tensor with legs LAURENT (x) QSL2."""
+    """(pi (x) id) o Delta, a Tensor with legs LAURENT (x) QSL2.
+
+    Computed as an algebra map from the generators (_coact_word), not
+    through the full coproduct, which stays the independent route.
+    """
     if p.alg.id != QSL2:
         raise ValueError("left_coaction expects a QSL2 element")
     out = Tensor.zero(p.alg.ctx.C, p.alg)
     for w, c in p.terms.items():
-        for (lw, rw), cc in _cop_word(p.alg, w).items():
-            l, m, n = qsl2_index(lw)
-            if m == 0 and n == 0:
-                out.add_term(laurent_word(l), rw, c * cc)
+        for (zw, rw), cc in _coact_word(p.alg, w).items():
+            out.add_term(zw, rw, c * cc)
     return out
 
 

@@ -299,16 +299,19 @@ class Context:
       preset._cop_cache    word -> its coproduct: hopf._cop_word_of
       preset._basis_cache  N -> filtration basis: _filtration_words
       ctx._bcop_cache      sphere word -> hopf._b_coproduct_word_of
+      ctx._coact_cache     QSL2 word -> its left coaction: hopf._coact_word_of
       ctx._nu_cache        L -> echelon of B*z-1 in F_L: koszul._nu_echelon_of
       ctx.q_power          e -> q^e, seeded with q^0 = the field's one
       ctx.gauss_row        k -> Gaussian binomials [k r] in q^2, r = 0..k
 
     q_power[0] and the end entries of gauss_row are the field's own one,
-    which hopf.leg_product's skips rely on.
+    which hopf.leg_product's skips rely on; so is every coefficient equal
+    to one that q_scale returns (the antipode, the sphere coproduct and
+    the embedding scale by it).
     """
 
     def __init__(self, field):
-        from .hopf import _b_coproduct_word_of
+        from .hopf import _b_coproduct_word_of, _coact_word_of
         from .koszul import _nu_echelon_of
         self.field = field
         one = field.one
@@ -343,10 +346,20 @@ class Context:
         }, (0, 1))
         self.presets = {a.id: a for a in (self.A, self.B, self.C, self.Z2)}
         self._bcop_cache = Memo(partial(_b_coproduct_word_of, self.B))
+        self._coact_cache = Memo(partial(_coact_word_of, self))
         self._nu_cache = Memo(partial(_nu_echelon_of, self.B))
         self.q_power = Memo(qp, {0: one})
         self.gauss_row = Memo(
             lambda k: [q_bracket(k, r, field) for r in range(k + 1)])
+
+    def q_scale(self, c, e):
+        """c * q^e, with c itself at e = 0 and a product equal to one
+        returned as the field's own one (a fresh c * q^e never is)."""
+        if not e:
+            return c
+        v = c * self.q_power[e]
+        one = self.field.one
+        return one if v == one else v
 
 
 _CONTEXTS = Memo(Context)
@@ -574,11 +587,11 @@ def _express_word(w):
 
 def _map_words(p, target, word_map):
     # word_map is injective on normal words, so no two terms collide
-    qp = p.alg.ctx.q_power
+    q_scale = p.alg.ctx.q_scale
     terms = {}
     for w, c in p.terms.items():
         mw, e = word_map(w)
-        terms[mw] = c * qp[e]
+        terms[mw] = q_scale(c, e)
     return NCPoly(target, terms)
 
 

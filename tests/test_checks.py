@@ -104,8 +104,12 @@ def test_size_guards_refuse_a_check_with_nothing_to_check():
     (checks.check_koszul_exactness, {"levels": ()}, "levels"),
     (checks.check_sigma, {"membership_len": -1}, "membership_len"),
     (checks.check_convolution_transes, {"maxlen": -1}, "maxlen"),
+    # the exactness defects need N >= 2
+    (checks.check_koszul_exactness, {"levels": (-1,)}, "levels"),
+    (checks.check_koszul_exactness, {"levels": (0,)}, "levels"),
+    (checks.check_koszul_exactness, {"levels": (1,)}, "levels"),
+    (checks.check_koszul_exactness, {"levels": (2, 1)}, "levels"),
 ])
 def test_size_errors_name_their_argument(fn, kwargs, name):
     with pytest.raises(ValueError, match=name):
         fn(**kwargs)
-

@@ -224,6 +224,12 @@ def test_zero_denominator_in_q_names_the_flag(monkeypatch, capsys):
     assert err == "error: --q 1/0: division by zero\n"
 
 
+def test_koszul_verify_below_level_two_names_the_flag(capsys):
+    code, out, err = run_cli(capsys, "koszul-verify", "--N", "1")
+    assert code == 2 and out == ""
+    assert err == "error: --N 1: koszul-verify needs N >= 2\n"
+
+
 def test_malformed_env_values_are_usage_errors(monkeypatch, capsys):
     for name, raw in (("SEED", "abc"), ("TRIALS", "x"), ("N", "1.5"),
                       ("FORMAT", "xml")):

@@ -10,9 +10,10 @@ from qsphere.duality import (Functional, OmegaModule, beta_projection,
                              sigma_inverse_apply, sigma_inverse_check,
                              transes_check)
 from qsphere.hochschild import Bimodule, h0_twisted_center, sigma_map
+from qsphere.hopf import _cop_word
 from qsphere.ncalg import (LAURENT, PODLES, QSL2, embed_podles,
-                           filtration_basis, get_algebra, podles_word,
-                           qsl2_word)
+                           express_in_podles, filtration_basis, get_algebra,
+                           podles_word, qsl2_word)
 from qsphere.scalars import ONE, Q, SYMBOLIC, ZERO, NumericField
 
 FIELDS = pytest.mark.parametrize(
@@ -143,6 +144,16 @@ def test_beta_examples_and_projection_laws():
     x = A.monomial(qsl2_word(1, 2, 0)) + A.gen("b") * A.gen("c")
     bx = beta_projection(x)
     assert beta_projection(embed_podles(bx)) == bx
+
+
+@FIELDS
+def test_beta_is_the_first_leg_one_slice_of_the_coproduct(field):
+    # beta runs on the coaction; the full coproduct stays its oracle
+    A_ = get_algebra(QSL2, field)
+    for w in filtration_basis(A_, 6):
+        picked = {rw: c for (lw, rw), c in _cop_word(A_, w).items() if lw == ()}
+        assert beta_projection(A_.monomial(w)) == express_in_podles(
+            A_.poly(picked)), w
 
 
 def test_gamma_and_transes():

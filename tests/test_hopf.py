@@ -2,19 +2,23 @@ from fractions import Fraction
 
 import pytest
 
+from qsphere import hopf
 from qsphere.hopf import (Tensor, antipode, b_coproduct, b_coproduct_grouped,
-                          coideal_membership, coproduct, counit,
-                          left_coaction, project_pi, rho, rho_check,
+                          b_coproduct_word, coideal_membership, coproduct,
+                          counit, left_coaction, project_pi, rho, rho_check,
                           _COP_GEN, _cop_word)
-from qsphere.ncalg import (LAURENT, PODLES, QSL2, SMASH_Z2, NCPoly,
-                           embed_podles, filtration_basis, get_algebra,
-                           podles_index, qsl2_word)
+from qsphere.ncalg import (LAURENT, PODLES, QSL2, SMASH_Z2, Context, NCPoly,
+                           embed_podles, express_in_podles, filtration_basis,
+                           get_algebra, podles_index, qsl2_word, _embed_word)
 from qsphere.scalars import ONE, Q, SYMBOLIC, ZERO, NumericField
 
 A = get_algebra(QSL2)
 B = get_algebra(PODLES)
 L = get_algebra(LAURENT)
 S = get_algebra(SMASH_Z2)
+
+FIELDS = pytest.mark.parametrize(
+    "field", [SYMBOLIC, NumericField(Fraction(3, 2))], ids=["symbolic", "q=3/2"])
 
 
 def mono(alg, w):
@@ -50,8 +54,7 @@ def _cop_word_by_tensors(alg, w):
     return out.terms
 
 
-@pytest.mark.parametrize("field", [SYMBOLIC, NumericField(Fraction(3, 2))],
-                         ids=["symbolic", "q=3/2"])
+@FIELDS
 def test_cop_word_matches_tensor_products(field):
     # same values and the same dict order on every basis word up to length 6
     for alg_id in (QSL2, LAURENT, SMASH_Z2):
@@ -60,6 +63,68 @@ def test_cop_word_matches_tensor_products(field):
             want = _cop_word_by_tensors(alg, m)
             assert list(_cop_word(alg, m).items()) == list(want.items()), \
                 (alg_id, m)
+
+
+def test_cop_word_matches_tensor_products_on_sigma_inverse_words():
+    # the long words sigma-inverse takes coproducts of: the embeddings of the
+    # sphere words with i + |j| <= 8, split at their letter runs
+    field = NumericField(Fraction(3, 2))
+    A3, B3 = get_algebra(QSL2, field), get_algebra(PODLES, field)
+    for m in filtration_basis(B3, 8):
+        w = _embed_word(m)[0]
+        want = _cop_word_by_tensors(A3, w)
+        assert list(_cop_word(A3, w).items()) == list(want.items()), w
+
+
+def _coaction_mismatches(A_, N):
+    """The words of length <= N whose left_coaction differs from
+    pi (x) id applied to the full coproduct."""
+    C_ = A_.ctx.C
+    bad = []
+    for w in filtration_basis(A_, N):
+        want = Tensor.zero(C_, A_)
+        for (lw, rw), c in coproduct(A_.monomial(w)).terms.items():
+            want = want + Tensor.of(project_pi(A_.monomial(lw)),
+                                    A_.monomial(rw)).scale(c)
+        if left_coaction(A_.monomial(w)) != want:
+            bad.append(w)
+    return bad
+
+
+@FIELDS
+def test_left_coaction_is_pi_of_the_coproduct(field):
+    assert _coaction_mismatches(get_algebra(QSL2, field), 6) == []
+
+
+def test_coaction_oracle_catches_a_wrong_generator_image(monkeypatch):
+    # b coacting by z^-1 instead of z; a context of its own keeps the
+    # shared caches clean
+    mutant = dict(hopf._COACT_GEN)
+    mutant[2] = [((1,), (2,))]
+    monkeypatch.setattr(hopf, "_COACT_GEN", mutant)
+    bad = _coaction_mismatches(Context(NumericField(Fraction(5, 3))).A, 2)
+    assert (2,) in bad and (0, 3) not in bad
+
+
+@FIELDS
+def test_one_valued_coefficients_are_the_fields_one(field):
+    # leg_product skips multiplications by the one object, so a coefficient
+    # equal to one must be it
+    A_, B_ = get_algebra(QSL2, field), get_algebra(PODLES, field)
+    coeffs = []
+    for w in filtration_basis(B_, 4):
+        coeffs += b_coproduct_word(B_, w).values()
+        e = B_.monomial(w)
+        for p in (embed_podles(e), express_in_podles(embed_podles(e)),
+                  antipode(e, 2), antipode(e, -2)):
+            coeffs += p.terms.values()
+    for w in filtration_basis(A_, 4):
+        for power in (-2, -1, 1, 2, 3):
+            coeffs += antipode(A_.monomial(w), power).terms.values()
+    one = A_.field.one    # equal fields share one Context and its field
+    ones = [c for c in coeffs if c == one]
+    assert len(ones) > 100
+    assert all(c is one for c in ones)
 
 
 def test_counit():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qsphere import checks
-from qsphere.hopf import _cop_word, b_coproduct_word
+from qsphere.hopf import _cop_word, b_coproduct_word, left_coaction
 from qsphere.koszul import ext_counit_module, nu_reduce, nu_reduce_oracle
 from qsphere.linalg import Echelon
 from qsphere.ncalg import (PODLES, QSL2, Memo, filtration_basis,
@@ -102,6 +102,8 @@ def test_symbolic_and_numeric_contexts_share_no_cache_entry():
                     alg.mul_words(w1, w2)
                 if alg is not ctx.B:
                     _cop_word(alg, w1)
+        for w in filtration_basis(ctx.A, 2):
+            left_coaction(ctx.A.monomial(w))
         for w in filtration_basis(ctx.B, 2):
             b_coproduct_word(ctx.B, w)
             nu_reduce(ctx.B.monomial(w))
@@ -109,7 +111,7 @@ def test_symbolic_and_numeric_contexts_share_no_cache_entry():
         memos[field] = {(name, attr): m for name, owner in owners
                         for attr, m in vars(owner).items()
                         if isinstance(m, Memo)}
-        assert len(memos[field]) == 4 * 3 + 4
+        assert len(memos[field]) == 4 * 3 + 5
         for key, memo in memos[field].items():
             assert memo or key == (PODLES, "_cop_cache")
             for value in memo.values():

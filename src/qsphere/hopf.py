@@ -225,6 +225,13 @@ def _b_coproduct_word_of(B, w):
     return out
 
 
+def _ad_terms_of(B, w):
+    # {(w_(1), S(w_(2))): c}, which Bimodule.ad_word multiplies onto its
+    # argument; S maps each word to one signed word, so no two terms collide
+    return {(lw, sw): c for lw, right in b_coproduct_grouped(B, w).items()
+            for sw, c in _antipode_once(right).terms.items()}
+
+
 def b_coproduct(p):
     """Coproduct of a sphere element as a Tensor with legs PODLES (x) QSL2."""
     if p.alg.id != PODLES:

@@ -300,6 +300,7 @@ class Context:
       preset._basis_cache  N -> filtration basis: _filtration_words
       ctx._bcop_cache      sphere word -> hopf._b_coproduct_word_of
       ctx._coact_cache     QSL2 word -> its left coaction: hopf._coact_word_of
+      ctx._ad_cache        sphere word -> w_(1) (x) S(w_(2)): hopf._ad_terms_of
       ctx._nu_cache        L -> echelon of B*z-1 in F_L: koszul._nu_echelon_of
       ctx.q_power          e -> q^e, seeded with q^0 = the field's one
       ctx.gauss_row        k -> Gaussian binomials [k r] in q^2, r = 0..k
@@ -311,7 +312,7 @@ class Context:
     """
 
     def __init__(self, field):
-        from .hopf import _b_coproduct_word_of, _coact_word_of
+        from .hopf import _ad_terms_of, _b_coproduct_word_of, _coact_word_of
         from .koszul import _nu_echelon_of
         self.field = field
         one = field.one
@@ -347,6 +348,7 @@ class Context:
         self.presets = {a.id: a for a in (self.A, self.B, self.C, self.Z2)}
         self._bcop_cache = Memo(partial(_b_coproduct_word_of, self.B))
         self._coact_cache = Memo(partial(_coact_word_of, self))
+        self._ad_cache = Memo(partial(_ad_terms_of, self.B))
         self._nu_cache = Memo(partial(_nu_echelon_of, self.B))
         self.q_power = Memo(qp, {0: one})
         self.gauss_row = Memo(

@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from qsphere.duality import Functional, convolution
-from qsphere.hochschild import (Bimodule, Cochain, argument_window,
+from qsphere.duality import Functional, OmegaModule, convolution
+from qsphere.hochschild import (Bimodule, Cochain, CharacterFunctional,
+                                LazyCochain, argument_window,
                                 character_action, cochains_equal,
-                                eval_cochain, h0_expected, h0_twisted_center,
-                                hochschild_b, random_argument_tuples,
-                                random_cochain, sigma_map, twisted_d, xi)
-from qsphere.hopf import Tensor, antipode, b_coproduct_grouped
+                                eval_cochain, eval_multi, h0_expected,
+                                h0_twisted_center, hochschild_b,
+                                random_argument_tuples, random_cochain,
+                                sigma_map, twisted_d, xi)
+from qsphere.hopf import Tensor, _cop_word, antipode, b_coproduct_grouped
 from qsphere.ncalg import (PODLES, QSL2, filtration_basis, get_algebra,
                            podles_word, qsl2_word)
 from qsphere.scalars import ONE, Q, SYMBOLIC, ZERO, NumericField
@@ -256,3 +258,113 @@ def test_sigma_character_validation():
     want = embed_podles(B.gen("y1")).scale(Q ** -2) + \
         A.monomial(qsl2_word(-2, 0, 0)).scale(Q)
     assert out == want
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the cochain operators against their coproduct routes
+# ---------------------------------------------------------------------------
+
+FIELDS = pytest.mark.parametrize("field", [SYMBOLIC, NumericField("3/2")],
+                                 ids=["symbolic", "q=3/2"])
+
+
+def _nonzero(field, pairs):
+    """Sum (word, coeff) pairs into a dict without zero entries."""
+    out = {}
+    for w, c in pairs:
+        out[w] = out[w] + c if w in out else c
+    return {w: c for w, c in out.items() if not field.is_zero(c)}
+
+
+def _act_by_coproduct(X, w, sphere):
+    """X.w = w_(1) X(w_(2)) of a basis word, through the coproduct."""
+    ctx, field = X.alg.ctx, X.alg.field
+    if sphere:
+        return _nonzero(field, ((lw, X(right)) for lw, right
+                                in b_coproduct_grouped(ctx.B, w).items()))
+    return _nonzero(field, ((lw, c * X.on_word(rw))
+                            for (lw, rw), c in _cop_word(ctx.A, w).items()))
+
+
+def _character_action_by_coproduct(X, phi):
+    """The character action as (X (x) X) |> phi(S(X).b^1, ...), every
+    action through the coproduct and phi expanded by eval_multi."""
+    M, XS = phi.carrier, X.compose_S()
+
+    def fn(ws):
+        args = tuple(_act_by_coproduct(XS, w, True) for w in ws)
+        out = M.zero()
+        for (lw, rw), c in eval_multi(phi, args).terms.items():
+            for w1, c1 in _act_by_coproduct(X, lw, True).items():
+                for w2, c2 in _act_by_coproduct(X, rw, False).items():
+                    out.add_term(w1, w2, c * c1 * c2)
+        return out
+
+    return LazyCochain(phi.degree, M, fn)
+
+
+def _torus_parameters(field):
+    q = field.q_power
+    return [q(1) * field.from_int(2), q(-2) * field.from_int(-3), field.one]
+
+
+@FIELDS
+def test_characters_act_on_basis_words_by_weight(field):
+    Bf, Af = get_algebra(PODLES, field), get_algebra(QSL2, field)
+    cases = 0
+    for t in _torus_parameters(field):
+        X = CharacterFunctional(Functional.char_A(t, field))
+        oracle = Functional.char_A(t, field)
+        for w in filtration_basis(Bf, 6):
+            assert X.act_sphere_word(w) == _act_by_coproduct(oracle, w, True), w
+            cases += 1
+        for w in filtration_basis(Af, 6):
+            assert X.act_qsl2_word(w) == _act_by_coproduct(oracle, w, False), w
+            cases += 1
+    assert cases == 3 * (49 + 140)
+
+
+@FIELDS
+def test_character_action_matches_the_coproduct_formula(field):
+    rng = random.Random(83)
+    M = Bimodule("BxA", field)
+    phi = hochschild_b(random_cochain(rng, 1, M, support=2, entries=4))
+    window = argument_window(2, 1, field)
+    assert any(not phi.eval_words(ws).is_zero() for ws in window)
+    for t in _torus_parameters(field)[:2]:
+        X = Functional.char_A(t, field)
+        assert cochains_equal(character_action(X, phi),
+                              _character_action_by_coproduct(X, phi), window)
+
+
+def _ad_by_grouped_coproduct(M, w, v):
+    """ad(w)v = sum over first legs lw of lw v S(sum of matching right legs)."""
+    out = M.zero()
+    for lw, right in b_coproduct_grouped(M.B, w).items():
+        out = out + M.right_A(M.left_word(lw, v), antipode(right, 1))
+    return out
+
+
+@FIELDS
+@pytest.mark.parametrize("kind, twist", [("BxA", 0), ("A_twist", 0),
+                                         ("A_twist", 1)])
+def test_ad_word_matches_the_grouped_coproduct_route(field, kind, twist):
+    rng = random.Random(89)
+    M = Bimodule(kind, field, twist=twist)
+    for w in filtration_basis(M.B, 3):
+        for _ in range(3):
+            v = M.random_value(rng)
+            assert M.ad_word(w, v) == _ad_by_grouped_coproduct(M, w, v), w
+
+
+@pytest.mark.parametrize("kind, twist", [
+    ("A_twist", 0.5), ("A_twist", 1.0), ("A_twist", True), ("BxA", 1),
+    ("B", -1), ("BxA", None)])
+def test_bimodule_rejects_a_bad_twist_at_construction(kind, twist):
+    with pytest.raises(ValueError, match="twist"):
+        Bimodule(kind, twist=twist)
+
+
+def test_omega_module_rejects_a_fractional_twist():
+    with pytest.raises(ValueError, match="twist"):
+        OmegaModule(1, 0.5)

@@ -1,6 +1,7 @@
 """Algebraic laws of the word-level Hopf calculus on random basis words:
 associativity of products, multiplicativity of the word coproduct and the
-antipode reversing products."""
+antipode reversing products; and rewriting's normal forms do not depend on
+the redex strategy."""
 
 import pytest
 
@@ -63,3 +64,24 @@ def test_antipode_reverses_products(triple, power):
     alg, w1, w2, _ = triple
     x, y = _mono(alg, w1), _mono(alg, w2)
     assert antipode(x * y, power) == antipode(y, power) * antipode(x, power)
+
+
+@st.composite
+def _raw_words(draw, alg_id, maxlen):
+    """A preset over a drawn field and a word in its generators, normal or
+    not."""
+    alg = get_algebra(alg_id, draw(_fields))
+    letters = st.integers(0, len(alg.gens) - 1)
+    return alg, tuple(draw(st.lists(letters, max_size=maxlen)))
+
+
+@_settings
+@hypothesis.given(st.one_of(*(_raw_words(a, 7)
+                              for a in (QSL2, PODLES, LAURENT, SMASH_Z2))))
+def test_rewriting_is_confluent(pair):
+    alg, w = pair
+    terms = {w: alg.field.one}
+    left = alg.reduce_terms(terms, "leftmost")
+    assert left == alg.reduce_terms(terms, "rightmost")
+    assert all(alg.reduce_terms({nw: alg.field.one}) == {nw: alg.field.one}
+               for nw in left)

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from qsphere import checks
-from qsphere.hopf import _cop_word, b_coproduct_word, left_coaction
+from qsphere.hochschild import Bimodule
+from qsphere.hopf import Tensor, _cop_word, b_coproduct_word, left_coaction
 from qsphere.koszul import ext_counit_module, nu_reduce, nu_reduce_oracle
 from qsphere.linalg import Echelon
 from qsphere.ncalg import (PODLES, QSL2, Memo, filtration_basis,
@@ -104,14 +105,17 @@ def test_symbolic_and_numeric_contexts_share_no_cache_entry():
                     _cop_word(alg, w1)
         for w in filtration_basis(ctx.A, 2):
             left_coaction(ctx.A.monomial(w))
+        carrier = Bimodule("BxA", field)
+        unit = Tensor(ctx.B, ctx.A, {((), ()): field.one})
         for w in filtration_basis(ctx.B, 2):
             b_coproduct_word(ctx.B, w)
             nu_reduce(ctx.B.monomial(w))
+            carrier.ad_word(w, unit)
         owners = [("ctx", ctx)] + list(ctx.presets.items())
         memos[field] = {(name, attr): m for name, owner in owners
                         for attr, m in vars(owner).items()
                         if isinstance(m, Memo)}
-        assert len(memos[field]) == 4 * 3 + 5
+        assert len(memos[field]) == 4 * 3 + 6
         for key, memo in memos[field].items():
             assert memo or key == (PODLES, "_cop_cache")
             for value in memo.values():

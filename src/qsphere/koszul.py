@@ -13,7 +13,8 @@ independent ways (row reduction against the ideal's truncated column space,
 and an iterated single-step rewriting oracle), assembles the matrix of the
 multiplication map zeta: nu(a) |-> nu(a*z1) on the quotient, and computes
 the truncated Ext of the counit module from the dualised complex; it and
-exactness share one defect count, _truncated_defects.
+exactness share one defect count, _truncated_defects, made of ranks only:
+S, the short-pivot rows of the boundary echelon, is cut down to ker middle.
 
 A fact the calculus hinges on: in B/B*z-1 the trailing-generator rule is
 nu(b*y-1) = -nu(b*y0), and the minus sign propagates.  Reducing
@@ -25,7 +26,7 @@ fields and the tests.
 
 from __future__ import annotations
 
-from .linalg import Echelon, axpy, kernel
+from .linalg import Echelon, axpy, rank
 from .ncalg import (PODLES, filtration_basis, get_algebra, podles_index,
                     podles_word)
 from .scalars import SYMBOLIC, q_bracket
@@ -77,16 +78,24 @@ def _pair_vec(pair):
 
 def _truncated_defects(field, B, N, top, middle):
     """(dim ker top, dim ker middle, outside) for maps top: F_N -> pairs
-    and middle: (tag, word) columns -> F_N, with `outside` the vectors of
-    ker middle not in top(F_{N+1}), each joining the span once found (the
-    larger level keeps spurious boundary defects out)."""
+    and middle: (tag, word) columns -> F_N, with `outside` the dimension
+    of ker middle modulo top(F_{N+1}), the larger level keeping spurious
+    boundary defects out.  All are ranks; no kernel basis is built: the
+    echelon of top(F_{N+1}) pivots on words longer than N first, so its
+    short-pivot rows span S = top(F_{N+1}) cap (F_N (+) F_N), and
+    dim(ker middle cap S) = dim S - rank middle(S)."""
     basis = filtration_basis(B, N)
-    top_dim = len(kernel(field, basis, top))
-    ker = kernel(field, [(t, w) for t in (0, 1) for w in basis], middle)
-    span = Echelon(field)
+    mid = {(t, w): middle((t, w)) for t in (0, 1) for w in basis}
+    ker_dim = len(mid) - rank(field, mid.values())
+    image = Echelon(field, column_order=lambda col: len(col[1]) <= N)
     for w in filtration_basis(B, N + 1):
-        span.add(top(w))
-    return top_dim, len(ker), sum(1 for v in ker if span.add(v) is not None)
+        image.add(top(w))
+    S = [row for piv, row in image.rows.items() if len(piv[1]) <= N]
+    on_S = rank(field, (axpy({}, ((k, c * v) for col, c in row.items()
+                                  for k, v in mid[col].items()),
+                             field.is_zero) for row in S))
+    return (len(basis) - rank(field, map(top, basis)), ker_dim,
+            ker_dim - (len(S) - on_S))
 
 
 def exactness_check(N, field=SYMBOLIC):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from qsphere import koszul
 from qsphere.koszul import (KoszulComplex, TruncatedMap, exactness_check,
                             ext_counit_module, koszul_d2_d1_zero,
                             nu_closed_form, nu_reduce, nu_reduce_oracle,
@@ -14,9 +15,11 @@ from qsphere.koszul import (KoszulComplex, TruncatedMap, exactness_check,
 from qsphere.ncalg import (PODLES, NCPoly, filtration_basis,
                            get_algebra, grade_decompose, podles_degree,
                            podles_word)
-from qsphere.scalars import ONE, Q, SYMBOLIC
+from qsphere.linalg import Echelon, kernel
+from qsphere.scalars import ONE, Q, SYMBOLIC, NumericField
 
 B = get_algebra(PODLES)
+Q32 = NumericField("3/2")
 
 
 def test_d2_d1_zero():
@@ -42,6 +45,89 @@ def test_shared_defect_helper_kernel_dims():
         assert r["kernel_dim"] == dim
         assert r["H1_defect_dim"] == 0 and r["H2_defect_dim"] == 0
         assert ext_counit_module(N)["dims"] == (0, 0, 1)
+
+
+def _kernel_route(field, B, N, top, middle):
+    """The defect triple from kernel bases: the kernels of top and middle,
+    then the kernel vectors that enlarge an incremental span of
+    top(F_{N+1})."""
+    basis = filtration_basis(B, N)
+    ker = kernel(field, [(t, w) for t in (0, 1) for w in basis], middle)
+    span = Echelon(field)
+    for w in filtration_basis(B, N + 1):
+        span.add(top(w))
+    return (len(kernel(field, basis, top)), len(ker),
+            sum(1 for v in ker if span.add(v) is not None))
+
+
+def _record_defects(monkeypatch):
+    """Route _truncated_defects through the kernel-basis oracle; returns the
+    list of (args, triple) of every call."""
+    calls = []
+    by_rank = koszul._truncated_defects
+
+    def checked(*args):
+        got = by_rank(*args)
+        assert got == _kernel_route(*args), args[2]
+        calls.append((args, got))
+        return got
+
+    monkeypatch.setattr(koszul, "_truncated_defects", checked)
+    return calls
+
+
+@pytest.mark.parametrize("field", [SYMBOLIC, Q32], ids=["symbolic", "q=3/2"])
+@pytest.mark.parametrize("N", range(2, 7))
+def test_defects_by_rank_match_kernel_bases(monkeypatch, field, N):
+    calls = _record_defects(monkeypatch)
+    r = exactness_check(N, field)
+    assert ext_counit_module(N, field)["dims"] == (0, 0, 1)
+    assert len(calls) == 2
+    assert calls[0][1] == (0, r["kernel_dim"], 0) == (0, N * N, 0)
+
+
+@pytest.mark.parametrize("N", range(2, 5))
+def test_defect_ranks_match_sympy(monkeypatch, N):
+    sympy = pytest.importorskip("sympy")
+    calls = _record_defects(monkeypatch)
+    exactness_check(N, Q32)
+    ext_counit_module(N, Q32)
+    for (_, alg, _, top, middle), (top_ker, mid_ker, _) in calls:
+        basis = filtration_basis(alg, N)
+        for cols, f, ker in ((basis, top, top_ker),
+                             ([(t, w) for t in (0, 1) for w in basis],
+                              middle, mid_ker)):
+            images = [f(c) for c in cols]
+            keys = sorted({k for img in images for k in img}, key=repr)
+            m = sympy.Matrix([[img.get(k, 0) for img in images]
+                              for k in keys])
+            assert m.rank() == len(cols) - ker
+
+
+def _lam_q(monkeypatch):
+    init = KoszulComplex.__init__
+
+    def lam_q(self, field=SYMBOLIC):
+        init(self, field)
+        self.lam = field.q_power(1)
+
+    monkeypatch.setattr(KoszulComplex, "__init__", lam_q)
+
+
+def _d1_minus(monkeypatch):
+    monkeypatch.setattr(KoszulComplex, "d1",
+                        lambda self, pair: pair[0] * self.z1 - pair[1] * self.zm1)
+
+
+@pytest.mark.parametrize("mutate", [_lam_q, _d1_minus], ids=["lam=q", "d1-minus"])
+def test_koszul_mutants_leave_all_of_ker_d1_outside(monkeypatch, mutate):
+    mutate(monkeypatch)
+    calls = _record_defects(monkeypatch)
+    assert not koszul_d2_d1_zero(maxlen=2)
+    for N, dim in ((2, 4), (4, 16)):
+        r = exactness_check(N)
+        assert r["H1_defect_dim"] == r["kernel_dim"] == dim
+    assert len(calls) == 2
 
 
 def test_nu_reduce_certificate_survives_python_O():

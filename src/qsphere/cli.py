@@ -93,8 +93,7 @@ def build_parser():
     s.add_argument("--imax", type=int, default=6)
     s.add_argument("--jmax", type=int, default=3)
 
-    s = sub.add_parser("xi-check", help="conjugation law on random cochains")
-    s.add_argument("--trials", type=int, default=None, dest="xi_trials")
+    sub.add_parser("xi-check", help="conjugation law on random cochains")
 
     s = sub.add_parser("sigma", help="apply the modular-type automorphism")
     s.add_argument("--apply", required=True, metavar="EXPR")
@@ -253,9 +252,7 @@ def run(args):
         return 0 if rep["pass"] else 1
 
     if cmd == "xi-check":
-        trials = args.xi_trials
-        if trials is None:
-            trials = 100 if args.trials is None else args.trials
+        trials = 100 if args.trials is None else args.trials
         rep = checks.check_conjugation_law(seed=args.seed, trials=trials,
                                            field=field)
         _emit(args, rep)

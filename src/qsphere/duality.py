@@ -102,13 +102,9 @@ def omega_product_check(n, m, i, j, N, field=SYMBOLIC):
             if not p.is_zero() and not omega_membership(p, n + i):
                 failures += 1
     target = omega_basis(n + i, N, field)
-    defects = {}
-    for level in range(N + 1):
-        defect = 0
-        for t in target:
-            if len(t) <= level and not span.contains({t: field.one}):
-                defect += 1
-        defects[level] = defect
+    missing = [len(t) for t in target if not span.contains({t: field.one})]
+    defects = {level: sum(1 for n in missing if n <= level)
+               for level in range(N + 1)}
     return {"n": n, "m": m, "i": i, "j": j, "N": N,
             "membership_failures": failures,
             "pair_count": len(left) * len(right),

@@ -383,11 +383,12 @@ def h0_twisted_center(i, j, N, field=SYMBOLIC):
     B = A.ctx.B
     cols = weight_basis_words(i, N)
     gens = [embed_podles(B.gen(g)) for g in ("y-1", "y0", "y1")]
+    twisted = [(g, antipode(g, 2 * j)) for g in gens]
 
     def image(w):
         p = A.monomial(w)
-        return {(k, iw): c for k, g in enumerate(gens)
-                for iw, c in (g * p - p * antipode(g, 2 * j)).terms.items()}
+        return {(k, iw): c for k, (g, sg) in enumerate(twisted)
+                for iw, c in (g * p - p * sg).terms.items()}
 
     return [NCPoly(A, vec) for vec in kernel(field, cols, image)]
 
@@ -408,20 +409,19 @@ def h0_expected(i, j):
 # ---------------------------------------------------------------------------
 
 def validate_character_b(chi, field=SYMBOLIC):
-    """chi: values on (y-1, y0, y1); must respect the sphere relations."""
-    vm, v0, vp = chi
-    q2 = field.q_power(2)
-    qm2 = field.q_power(-2)
-    q1 = field.q_power(1)
-    qm1 = field.q_power(-1)
-    checks = [
-        v0 * vp - q2 * vp * v0,
-        v0 * vm - qm2 * vm * v0,
-        vp * vm - (qm2 * v0 * v0 + qm1 * v0),
-        vm * vp - (q2 * v0 * v0 + q1 * v0),
-    ]
-    if any(not field.is_zero(x) for x in checks):
-        raise ValueError("values do not define an algebra map on the sphere")
+    """chi: values on (y-1, y0, y1); must respect every rewriting rule of
+    the sphere, chi(g1)*chi(g2) = sum c*chi(w) for g1 g2 -> sum c*w."""
+    B = get_algebra(PODLES, field)
+    vals = dict(zip((B.gen_index[g] for g in ("y-1", "y0", "y1")), chi))
+    for (g1, g2), rhs in B.rules.items():
+        residue = vals[g1] * vals[g2]
+        for c, w in rhs:
+            for g in w:
+                c = c * vals[g]
+            residue = residue - c
+        if not field.is_zero(residue):
+            raise ValueError("values do not define an algebra map on the "
+                             "sphere")
 
 
 def sigma_map(p, chi=None):

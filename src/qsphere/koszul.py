@@ -12,9 +12,11 @@ truncations, computes the reduction calculus of the quotient B/B*z-1 two
 independent ways (row reduction against the ideal's truncated column space,
 and an iterated single-step rewriting oracle), assembles the matrix of the
 multiplication map zeta: nu(a) |-> nu(a*z1) on the quotient, and computes
-the truncated Ext of the counit module from the dualised complex; it and
-exactness share one defect count, _truncated_defects, made of ranks only:
-S, the short-pivot rows of the boundary echelon, is cut down to ker middle.
+the truncated Ext of the counit module from the dualised complex.  Ext and
+exactness are two calls of one count, _truncated_defects, which reads all
+three degrees of a three-term complex off two long-pivot-first echelons,
+one per map, plus the rank of the middle map on S, the short-pivot rows of
+the boundary echelon.
 
 A fact the calculus hinges on: in B/B*z-1 the trailing-generator rule is
 nu(b*y-1) = -nu(b*y0), and the minus sign propagates.  Reducing
@@ -77,33 +79,52 @@ def _pair_vec(pair):
 
 
 def _truncated_defects(field, B, N, top, middle):
-    """(dim ker top, dim ker middle, outside) for maps top: F_N -> pairs
-    and middle: (tag, word) columns -> F_N, with `outside` the dimension
-    of ker middle modulo top(F_{N+1}), the larger level keeping spurious
-    boundary defects out.  All are ranks; no kernel basis is built: the
-    echelon of top(F_{N+1}) pivots on words longer than N first, so its
-    short-pivot rows span S = top(F_{N+1}) cap (F_N (+) F_N), and
-    dim(ker middle cap S) = dim S - rank middle(S)."""
-    basis = filtration_basis(B, N)
-    mid = {(t, w): middle((t, w)) for t in (0, 1) for w in basis}
-    ker_dim = len(mid) - rank(field, mid.values())
+    """((dim ker top, dim ker middle, outside, coker), middle echelon) for
+    maps top: words -> pair vectors and middle: (tag, word) columns -> B,
+    counted in one walk over F_{N+1} that feeds two echelons, both pivoting
+    on words longer than N first: one of top(F_{N+1}), one of
+    middle(F_{N+1} (+) F_{N+1}).  filtration_basis is sorted by length, so
+    F_N is a prefix of the walk, and the ranks of top(F_N) and
+    middle(F_N (+) F_N) are read off the two echelons where the walk
+    leaves it.
+
+    The short-pivot rows of the first echelon span S = top(F_{N+1}) cap
+    (F_N (+) F_N), and `outside`, the dimension of ker middle modulo
+    top(F_{N+1}), is dim ker middle - (dim S - rank middle(S)); the larger
+    level keeps spurious boundary defects out.  The short-pivot rows of the
+    second span middle(F_{N+1} (+) F_{N+1}) cap F_N, and `coker` is the
+    dimension of F_N modulo that.  All are ranks; no kernel basis is
+    built."""
+    words = filtration_basis(B, N + 1)
+    n = len(filtration_basis(B, N))
     image = Echelon(field, column_order=lambda col: len(col[1]) <= N)
-    for w in filtration_basis(B, N + 1):
+    coker = Echelon(field, column_order=lambda w: (len(w) <= N, -len(w), w))
+    mid = {}  # middle on F_N (+) F_N, for the rank on S
+    for k, w in enumerate(words):
+        if k == n:  # sorted by length, so words[:n] is F_N
+            top_rank, mid_rank = image.rank, coker.rank
         image.add(top(w))
+        for col in ((0, w), (1, w)):
+            img = middle(col)
+            coker.add(img)
+            if k < n:
+                mid[col] = img
+    ker_dim = 2 * n - mid_rank
     S = [row for piv, row in image.rows.items() if len(piv[1]) <= N]
     on_S = rank(field, (axpy({}, ((k, c * v) for col, c in row.items()
                                   for k, v in mid[col].items()),
                              field.is_zero) for row in S))
-    return (len(basis) - rank(field, map(top, basis)), ker_dim,
-            ker_dim - (len(S) - on_S))
+    inside = sum(1 for piv in coker.rows if len(piv) <= N)
+    return (n - top_rank, ker_dim, ker_dim - (len(S) - on_S),
+            n - inside), coker
 
 
 def exactness_check(N, field=SYMBOLIC):
-    """Truncated homology defects of the Koszul complex.
+    """Truncated homology of the Koszul complex.
 
     H2: kernel of d2 on F_N (must be zero).  H1: kernel of d1 on
-    F_N (+) F_N, checked for containment in d2(F_{N+1}).  Both defect
-    dimensions are reported.
+    F_N (+) F_N, checked for containment in d2(F_{N+1}).  H0: F_N modulo
+    d1(F_{N+1} (+) F_{N+1}), spanned by the class of 1 (dimension 1).
     """
     if N < 2:
         raise ValueError("exactness_check needs N >= 2")
@@ -118,9 +139,11 @@ def exactness_check(N, field=SYMBOLIC):
         p = B.monomial(w)
         return (K.d1((p, B.zero())) if t == 0 else K.d1((B.zero(), p))).terms
 
-    h2_defect, kernel_dim, h1_defect = _truncated_defects(field, B, N, d2, d1)
-    return {"N": N, "H1_defect_dim": h1_defect, "H2_defect_dim": h2_defect,
-            "kernel_dim": kernel_dim, "image_source_level": N + 1}
+    (h2_defect, kernel_dim, h1_defect, h0), _ = _truncated_defects(
+        field, B, N, d2, d1)
+    return {"N": N, "H0_dim": h0, "H1_defect_dim": h1_defect,
+            "H2_defect_dim": h2_defect, "kernel_dim": kernel_dim,
+            "image_source_level": N + 1}
 
 
 # ---------------------------------------------------------------------------
@@ -354,21 +377,10 @@ def ext_counit_module(N, field=SYMBOLIC):
         return ((zm1 * p).scale(qi) if t == 0 else (z1 * p).scale(-q1)).terms
 
     # degree 0: kernel of f |-> (z1*f, z-1*f); degree 1: kernel of
-    # (f,g) |-> q^-1*z-1*f - q*z1*g against the image from above
-    d0, _, d1 = _truncated_defects(field, B, N, d0_image, d1_image)
-
-    # degree 2: B/(z-1*B + z1*B) truncated; pivots prefer long words so the
-    # echelon rows with short pivots give the intersection with F_N
-    def order(word):
-        return (0 if len(word) > N else 1, -len(word), word)
-
-    ideal = Echelon(field, column_order=order)
-    for w in filtration_basis(B, N + 1):
-        p = B.monomial(w)
-        ideal.add((zm1 * p).terms)
-        ideal.add((z1 * p).terms)
-    inside = sum(1 for piv in ideal.rows if len(piv) <= N)
-    d2 = len(filtration_basis(B, N)) - inside
+    # (f,g) |-> q^-1*z-1*f - q*z1*g against the image from above; degree 2:
+    # B/(z-1*B + z1*B) truncated, read with the echelon of that image
+    (d0, _, d1, d2), ideal = _truncated_defects(field, B, N, d0_image,
+                                                d1_image)
 
     # the class of 1 spans degree 2; right multiplication by the generators
     # gives the character, read off one coordinate of the residue of 1 and

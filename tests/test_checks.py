@@ -2,7 +2,7 @@ import inspect
 
 import pytest
 
-from qsphere import checks
+from qsphere import checks, hochschild
 from qsphere.scalars import SYMBOLIC
 
 
@@ -113,3 +113,18 @@ def test_size_guards_refuse_a_check_with_nothing_to_check():
 def test_size_errors_name_their_argument(fn, kwargs, name):
     with pytest.raises(ValueError, match=name):
         fn(**kwargs)
+
+
+def test_sigma_relations_catch_a_linear_map_that_is_not_multiplicative(
+        monkeypatch):
+    real = hochschild.sigma_map
+
+    def double_y0(p, chi=None):
+        out = real(p, chi)
+        return out.alg.poly({w: c + c if w == (0,) else c
+                             for w, c in out.terms.items()})
+
+    small = {"N": 1, "membership_len": 1}
+    assert checks.check_sigma(**small)["result"]["relations_preserved"]
+    monkeypatch.setattr(hochschild, "sigma_map", double_y0)
+    assert not checks.check_sigma(**small)["result"]["relations_preserved"]

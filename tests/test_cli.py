@@ -78,7 +78,7 @@ def test_usage_error_exit_code(capsys):
     ("h0-table", "--jmax", "-1"),
     ("h0-table", "--imax", "-1"),
     ("--trials", "-3", "xi-check"),
-    ("xi-check", "--trials", "0"),
+    ("--trials", "0", "xi-check"),
     ("--trials", "-1", "verify-all"),
 ])
 def test_bad_sizes_and_trial_counts_are_usage_errors(capsys, argv):
@@ -138,7 +138,7 @@ def test_check_commands_exit_1_when_result_contradicts_expected(
 
 
 def test_determinism_byte_identical(capsys):
-    args = ["--no-timing", "--seed", "7", "xi-check", "--trials", "4"]
+    args = ["--no-timing", "--seed", "7", "--trials", "4", "xi-check"]
     code1, out1, _ = run_cli(capsys, *args)
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0

@@ -15,7 +15,7 @@ from qsphere.koszul import (KoszulComplex, TruncatedMap, exactness_check,
 from qsphere.ncalg import (PODLES, NCPoly, filtration_basis,
                            get_algebra, grade_decompose, podles_degree,
                            podles_word)
-from qsphere.linalg import Echelon, kernel
+from qsphere.linalg import Echelon, axpy, kernel, rank
 from qsphere.scalars import ONE, Q, SYMBOLIC, NumericField
 
 B = get_algebra(PODLES)
@@ -31,9 +31,11 @@ def test_d2_d1_zero():
 
 
 def test_exactness_small_levels():
-    for N in (2, 3, 4):
+    # H0 is the class of 1
+    for N in range(2, 11):
         r = exactness_check(N)
-        assert r["H1_defect_dim"] == 0 and r["H2_defect_dim"] == 0
+        assert (r["H0_dim"], r["H1_defect_dim"], r["H2_defect_dim"]) == \
+            (1, 0, 0), N
     with pytest.raises(ValueError):
         exactness_check(1)
 
@@ -48,28 +50,37 @@ def test_shared_defect_helper_kernel_dims():
 
 
 def _kernel_route(field, B, N, top, middle):
-    """The defect triple from kernel bases: the kernels of top and middle,
-    then the kernel vectors that enlarge an incremental span of
-    top(F_{N+1})."""
+    """The defect quadruple from kernel bases: the kernels of top and
+    middle, the kernel vectors that enlarge an incremental span of
+    top(F_{N+1}), and F_N modulo middle(K), K the kernel of the long-word
+    part of middle over F_{N+1} (+) F_{N+1}, so middle(K) = middle(F_{N+1}
+    (+) F_{N+1}) cap F_N."""
     basis = filtration_basis(B, N)
     ker = kernel(field, [(t, w) for t in (0, 1) for w in basis], middle)
     span = Echelon(field)
     for w in filtration_basis(B, N + 1):
         span.add(top(w))
+    long_ker = kernel(
+        field, [(t, w) for t in (0, 1) for w in filtration_basis(B, N + 1)],
+        lambda col: {w: c for w, c in middle(col).items() if len(w) > N})
+    inside = rank(field, (axpy({}, ((w, c * v) for col, c in vec.items()
+                                    for w, v in middle(col).items()),
+                               field.is_zero) for vec in long_ker))
     return (len(kernel(field, basis, top)), len(ker),
-            sum(1 for v in ker if span.add(v) is not None))
+            sum(1 for v in ker if span.add(v) is not None),
+            len(basis) - inside)
 
 
 def _record_defects(monkeypatch):
     """Route _truncated_defects through the kernel-basis oracle; returns the
-    list of (args, triple) of every call."""
+    list of (args, quadruple) of every call."""
     calls = []
     by_rank = koszul._truncated_defects
 
     def checked(*args):
         got = by_rank(*args)
-        assert got == _kernel_route(*args), args[2]
-        calls.append((args, got))
+        assert got[0] == _kernel_route(*args), args[2]
+        calls.append((args, got[0]))
         return got
 
     monkeypatch.setattr(koszul, "_truncated_defects", checked)
@@ -83,7 +94,10 @@ def test_defects_by_rank_match_kernel_bases(monkeypatch, field, N):
     r = exactness_check(N, field)
     assert ext_counit_module(N, field)["dims"] == (0, 0, 1)
     assert len(calls) == 2
-    assert calls[0][1] == (0, r["kernel_dim"], 0) == (0, N * N, 0)
+    assert calls[0][1] == (0, r["kernel_dim"], 0, r["H0_dim"])
+    assert calls[0][1] == (0, N * N, 0, 1)
+    ext_top_ker, _, ext_outside, ext_coker = calls[1][1]
+    assert (ext_top_ker, ext_outside, ext_coker) == (0, 0, 1)
 
 
 @pytest.mark.parametrize("N", range(2, 5))
@@ -92,7 +106,7 @@ def test_defect_ranks_match_sympy(monkeypatch, N):
     calls = _record_defects(monkeypatch)
     exactness_check(N, Q32)
     ext_counit_module(N, Q32)
-    for (_, alg, _, top, middle), (top_ker, mid_ker, _) in calls:
+    for (_, alg, _, top, middle), (top_ker, mid_ker, _, _) in calls:
         basis = filtration_basis(alg, N)
         for cols, f, ker in ((basis, top, top_ker),
                              ([(t, w) for t in (0, 1) for w in basis],
@@ -128,6 +142,16 @@ def test_koszul_mutants_leave_all_of_ker_d1_outside(monkeypatch, mutate):
         r = exactness_check(N)
         assert r["H1_defect_dim"] == r["kernel_dim"] == dim
     assert len(calls) == 2
+
+
+def test_d1_through_z1_alone_leaves_a_growing_cokernel(monkeypatch):
+    # d1(b, c) = b*z1 + c*z1: the image is B*z1 alone, so H0 = B/B*z1
+    monkeypatch.setattr(KoszulComplex, "d1",
+                        lambda self, pair: (pair[0] + pair[1]) * self.z1)
+    calls = _record_defects(monkeypatch)
+    for N, dim in ((2, 5), (4, 9), (6, 13)):
+        assert exactness_check(N)["H0_dim"] == dim
+    assert [got[3] for _, got in calls] == [5, 9, 13]
 
 
 def test_nu_reduce_certificate_survives_python_O():

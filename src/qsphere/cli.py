@@ -182,7 +182,7 @@ def _parse_chi(raw, field):
         if any(w for w in p.terms):
             raise ValueError("--chi values must be scalars")
         vals.append(p.terms.get((), field.zero))
-    return tuple(vals)
+    return duality.Functional.char_B(*vals, field)
 
 
 def run(args):
@@ -252,9 +252,9 @@ def run(args):
         return 0 if rep["pass"] else 1
 
     if cmd == "xi-check":
-        trials = 100 if args.trials is None else args.trials
-        rep = checks.check_conjugation_law(seed=args.seed, trials=trials,
-                                           field=field)
+        given = {} if args.trials is None else {"trials": args.trials}
+        rep = checks.check_conjugation_law(seed=args.seed, field=field,
+                                           **given)
         _emit(args, rep)
         return 0 if rep["pass"] else 1
 

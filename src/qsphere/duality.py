@@ -18,11 +18,11 @@ what hochschild.character_action takes.
 
 from __future__ import annotations
 
-from .hopf import (Tensor, antipode, b_coproduct_word, counit, _coact_word,
-                   _cop_word, left_coaction)
+from .hopf import (Tensor, antipode, b_coproduct_word, contract_left, counit,
+                   _coact_word, _cop_word, left_coaction)
 from .hochschild import (Bimodule, sigma_map, validate_character_b,
                          weight_basis_words)
-from .linalg import Echelon, axpy
+from .linalg import Echelon
 from .ncalg import (LAURENT, PODLES, QSL2, NCPoly, embed_podles,
                     express_in_podles, filtration_basis, get_algebra,
                     laurent_word, podles_index, qsl2_index)
@@ -233,13 +233,8 @@ def convolution(phi, psi):
     field = ctx.field
 
     def value(w):
-        out = field.zero
-        for (lw, rw), c in legs(phi.alg, w).items():
-            v1 = phi.on_word(lw)
-            # skip zero values: sigma-q ran 17 % slower without the skips
-            if not field.is_zero(v1):
-                out = out + c * v1 * psi.on_word(rw)
-        return out
+        return psi(NCPoly(ctx.A, contract_left(
+            {w: field.one}, lambda u: legs(phi.alg, u), phi.on_word, field)))
 
     return Functional(phi.alg, value)
 
@@ -266,14 +261,10 @@ def beta_projection(x):
     if x.alg.id != QSL2:
         raise ValueError("beta_projection expects a QSL2 element")
     A = x.alg
-    field = A.field
-    acc = A.zero()
-    for w, c in x.terms.items():
-        # h(z^k) = delta_k0 picks the terms whose Laurent leg is 1
-        picked = axpy({}, ((rw, cc) for (zw, rw), cc in _coact_word(A, w).items()
-                           if zw == ()), field.is_zero, c)
-        acc = acc + NCPoly(A, picked)
-    return express_in_podles(acc)
+    zero, one = A.field.zero, A.field.one
+    return express_in_podles(NCPoly(A, contract_left(
+        x.terms, lambda w: _coact_word(A, w),
+        lambda zw: zero if zw else one, A.field)))    # h(z^k) = delta_k0
 
 
 def gamma_functional(x, chi=None):
@@ -331,7 +322,8 @@ def sigma_inverse_check(N, field=SYMBOLIC):
 
 
 def sigma_inverse_apply(x, gamma=None):
-    """gamma(S^-2(x_(1))) S^-2(x_(2)) expressed back in the sphere.
+    """gamma(S^-2(x_(1))) S^-2(x_(2)) expressed back in the sphere, read
+    as gamma((S^-2 x)_(1)) (S^-2 x)_(2), since S^-2 is a coalgebra map.
 
     gamma is a Functional.gamma over x's field (default: built from the
     counit).  Its per-word memo is shared by every call that passes the
@@ -340,15 +332,8 @@ def sigma_inverse_apply(x, gamma=None):
     if x.alg.id != QSL2:
         raise ValueError("sigma_inverse_apply expects a QSL2 element")
     A = x.alg
-    field = A.field
     if gamma is None:
-        gamma = Functional.gamma(None, field)
-    acc = A.zero()
-    for w, c in x.terms.items():
-        for (lw, rw), cc in _cop_word(A, w).items():
-            g = gamma(antipode(A.monomial(lw), -2))
-            # skip zero values: sigma-q ran 17 % slower without the skips
-            if field.is_zero(g):
-                continue
-            acc = acc + antipode(A.monomial(rw), -2).scale(c * cc * g)
-    return express_in_podles(acc)
+        gamma = Functional.gamma(None, A.field)
+    return express_in_podles(NCPoly(A, contract_left(
+        antipode(x, -2).terms, lambda w: _cop_word(A, w), gamma.on_word,
+        A.field)))

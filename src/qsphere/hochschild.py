@@ -18,7 +18,8 @@ need the right A-action and are not defined on 'B'.
 
 character_action takes a torus character X_t (duality.Functional.char_A),
 which acts on basis words by weight, X_t.w = w_(1) X_t(w_(2)) = t^wt(w) w;
-that coproduct route is the tests' oracle.  sigma_map alone imports duality.
+that coproduct route is the tests' oracle.  sigma_map takes a sphere
+character the same way, as a duality.Functional.char_B.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import itertools
 
 # unused _cop_word: perfbench's tracer test checks that it patches this name
 from .hopf import (Tensor, _cop_word, antipode, b_coproduct_grouped,
-                   leg_product)
+                   b_coproduct_word, contract_left, leg_product)
 from .linalg import kernel
 from .ncalg import (PODLES, QSL2, NCPoly, embed_podles, express_in_podles,
                     filtration_basis, get_algebra, podles_index, qsl2_index,
@@ -425,33 +426,25 @@ def validate_character_b(chi, field=SYMBOLIC):
 
 
 def sigma_map(p, chi=None):
-    """sigma(x) = chi(x_(1)) S^2(x_(2)), an algebra map from the sphere into
-    the coordinate ring.
+    """sigma(x) = chi(x_(1)) S^2(x_(2)) = S^2(chi(x_(1)) x_(2)), an algebra
+    map from the sphere into the coordinate ring, for a sphere character
+    chi over p's field built once by duality.Functional.char_B.
 
-    For the counit character (the default) this is S^2 restricted to the
-    sphere, scaling the basis ray e_{ij} by q^(-2j), and the result is
-    returned over PODLES.  Other characters can leave the sphere (already
-    sigma_chi(y1) picks up a d^2 term when chi(y1) != 0); the result is
-    then returned over QSL2.
+    For the counit (chi None) this is S^2 restricted to the sphere, scaling
+    the basis ray e_{ij} by q^(-2j), and the result is returned over
+    PODLES.  Other characters can leave the sphere (already sigma_chi(y1)
+    picks up a d^2 term when chi(y1) != 0); the result is then returned
+    over QSL2.
     """
-    from .duality import Functional
-    if p.alg.id != PODLES:
-        raise ValueError("sigma_map expects a PODLES element")
-    field = p.alg.field
-    if chi is None:
-        chi = (field.zero, field.zero, field.zero)
-    vm, v0, vp = (field.from_int(v) if isinstance(v, int) else v for v in chi)
-    chi = Functional.char_B(vm, v0, vp, field)
     B = p.alg
-    acc = B.ctx.A.zero()
-    for w, c in p.terms.items():
-        for lw, right in b_coproduct_grouped(B, w).items():
-            cv = chi.on_word(lw)
-            # skip zero values: sigma-q ran 17 % slower without the skips
-            if field.is_zero(cv):
-                continue
-            acc = acc + antipode(right, 2).scale(c * cv)
+    if B.id != PODLES or chi is not None and chi.alg is not B:
+        raise ValueError("sigma_map expects a PODLES element and a "
+                         "character of the sphere over its field")
+    zero, one = B.field.zero, B.field.one    # the counit is 1 on () only
+    f = chi.on_word if chi is not None else lambda w: zero if w else one
+    out = antipode(NCPoly(B.ctx.A, contract_left(
+        p.terms, lambda w: b_coproduct_word(B, w), f, B.field)), 2)
     try:
-        return express_in_podles(acc)
+        return express_in_podles(out)
     except ValueError:
-        return acc
+        return out

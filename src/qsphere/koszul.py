@@ -28,7 +28,7 @@ fields and the tests.
 
 from __future__ import annotations
 
-from .linalg import Echelon, axpy, rank
+from .linalg import Echelon, axpy, determinant, rank
 from .ncalg import (PODLES, filtration_basis, get_algebra, podles_index,
                     podles_word)
 from .scalars import SYMBOLIC, q_bracket
@@ -309,7 +309,6 @@ def zeta_matrix(jmax, field=SYMBOLIC):
     images = [nu_reduce(B.monomial(w) * z1) for w in dom]
     tmap = TruncatedMap(field, dom, cod, images)
 
-    from .linalg import determinant
     rows = {w: r for r, w in enumerate(cod)}
     j1 = jmax + 1
     diag = [tmap.matrix[rows[podles_word(k, 0)]][k - 1] for k in range(1, j1 + 1)]

@@ -1,9 +1,10 @@
 import inspect
+from fractions import Fraction
 
 import pytest
 
-from qsphere import checks, hochschild
-from qsphere.scalars import SYMBOLIC
+from qsphere import checks, duality, hochschild
+from qsphere.scalars import SYMBOLIC, NumericField
 
 
 def test_run_all_passes_seed_and_trials_by_signature(monkeypatch):
@@ -128,3 +129,19 @@ def test_sigma_relations_catch_a_linear_map_that_is_not_multiplicative(
     assert checks.check_sigma(**small)["result"]["relations_preserved"]
     monkeypatch.setattr(hochschild, "sigma_map", double_y0)
     assert not checks.check_sigma(**small)["result"]["relations_preserved"]
+
+
+def test_check_sigma_validates_no_character(monkeypatch):
+    # sigma_map takes its character built once, so the counit sweep of
+    # check_sigma never rebuilds (and revalidates) one per call
+    calls = []
+    real = hochschild.validate_character_b
+
+    def counting(chi, field=SYMBOLIC):
+        calls.append(chi)
+        return real(chi, field)
+
+    for module in (hochschild, duality):
+        monkeypatch.setattr(module, "validate_character_b", counting)
+    rep = checks.check_sigma(N=8, field=NumericField(Fraction(3, 2)))
+    assert rep["pass"] and calls == []

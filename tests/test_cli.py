@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from qsphere import duality, koszul
+from qsphere import checks, duality, koszul
 from qsphere.cli import main
 
 
@@ -135,6 +135,31 @@ def test_check_commands_exit_1_when_result_contradicts_expected(
     monkeypatch.setattr(module, name, lambda *a, **k: wrong(real(*a, **k)))
     code, out, _ = run_cli(capsys, "--q", "3/2", *argv)
     assert code == 1 and json.loads(out)["pass"] is False
+
+
+def test_sigma_with_a_character(capsys):
+    # chi(y1) = q leaves the sphere: q^-2*bd + q*d^2 = q^-1*db + q*d^2
+    code, out, _ = run_cli(capsys, "sigma", "--apply", "y1", "--chi", "0,0,q")
+    assert code == 0 and json.loads(out)["result"] == "q*d^2 + q^-1*d*b"
+    code, _, err = run_cli(capsys, "sigma", "--apply", "y0", "--chi", "0,1,0")
+    assert code == 2 and "algebra map" in err
+
+
+@pytest.mark.parametrize("argv, trials", [([], None), (["--trials", "3"], 3)])
+def test_xi_check_passes_trials_only_when_given(monkeypatch, capsys, argv,
+                                                trials):
+    seen = []
+
+    def stub(**kwargs):
+        seen.append(kwargs)
+        return checks._report("conjugation-law", {}, {"failures": 0},
+                              {"failures": 0}, 0.0)
+
+    monkeypatch.setattr(checks, "check_conjugation_law", stub)
+    code, _, _ = run_cli(capsys, *argv, "--seed", "5", "xi-check")
+    assert code == 0 and len(seen) == 1
+    assert seen[0].pop("trials", None) == trials
+    assert sorted(seen[0]) == ["field", "seed"] and seen[0]["seed"] == 5
 
 
 def test_determinism_byte_identical(capsys):

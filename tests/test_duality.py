@@ -5,15 +5,15 @@ import pytest
 
 from qsphere import duality
 from qsphere.duality import (Functional, OmegaModule, beta_projection,
-                             convolution, gamma_functional, omega_basis,
-                             omega_membership, omega_product_check,
-                             sigma_inverse_apply, sigma_inverse_check,
-                             transes_check)
+                             convolution, gamma_functional, haar_laurent,
+                             omega_basis, omega_membership,
+                             omega_product_check, sigma_inverse_apply,
+                             sigma_inverse_check, transes_check)
 from qsphere.hochschild import Bimodule, h0_twisted_center, sigma_map
-from qsphere.hopf import _cop_word
+from qsphere.hopf import _cop_word, left_coaction
 from qsphere.ncalg import (LAURENT, PODLES, QSL2, embed_podles,
                            express_in_podles, filtration_basis, get_algebra,
-                           podles_word, qsl2_word)
+                           laurent_word, podles_word, qsl2_word)
 from qsphere.scalars import ONE, Q, SYMBOLIC, ZERO, NumericField
 
 FIELDS = pytest.mark.parametrize(
@@ -154,6 +154,36 @@ def test_beta_is_the_first_leg_one_slice_of_the_coproduct(field):
         picked = {rw: c for (lw, rw), c in _cop_word(A_, w).items() if lw == ()}
         assert beta_projection(A_.monomial(w)) == express_in_podles(
             A_.poly(picked)), w
+
+
+@FIELDS
+def test_haar_laurent_is_the_constant_term(field):
+    L = get_algebra(LAURENT, field)
+    for k in range(-3, 4):
+        want = field.one if k == 0 else field.zero
+        assert haar_laurent(L.monomial(laurent_word(k))) == want
+    p = L.gen("z").scale(field.from_int(2)) + L.scalar(3)
+    assert haar_laurent(p) == field.from_int(3)
+    assert haar_laurent(L.zero()) == field.zero
+    with pytest.raises(ValueError, match="LAURENT"):
+        haar_laurent(get_algebra(QSL2, field).gen("a"))
+
+
+@FIELDS
+def test_beta_is_haar_tensor_id_on_the_coaction(field):
+    Af = get_algebra(QSL2, field)
+    C = Af.ctx.C
+    pool = filtration_basis(Af, 4)
+    rng = random.Random(79)
+    for _ in range(30):
+        x = Af.poly({rng.choice(pool): field.q_power(rng.randint(-2, 2))
+                     * field.from_int(rng.choice((-2, -1, 1, 3)))
+                     for _ in range(4)})
+        want = Af.zero()
+        for (zw, rw), c in left_coaction(x).terms.items():
+            want = want + Af.monomial(rw).scale(
+                c * haar_laurent(C.monomial(zw)))
+        assert embed_podles(beta_projection(x)) == want, x.render()
 
 
 def test_gamma_and_transes():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -249,11 +250,15 @@ def test_sigma_examples_and_multiplicativity():
 
 def test_sigma_character_validation():
     with pytest.raises(ValueError):
-        sigma_map(B.gen("y0"), (ZERO, ONE, ZERO))  # chi(y0) = 1 breaks the relations
+        # chi(y0) = 1 breaks the relations
+        sigma_map(B.gen("y0"), Functional.char_B(ZERO, ONE, ZERO))
+    F = NumericField(Fraction(3, 2))
+    with pytest.raises(ValueError, match="character of the sphere"):
+        sigma_map(B.gen("y0"), Functional.char_B(F.zero, F.zero, F.zero, F))
     # chi(y1) = t is a genuine character; its sigma leaves the sphere, so
     # the value comes back over QSL2: q^-2*bd + t*d^2
     from qsphere.ncalg import embed_podles
-    out = sigma_map(B.gen("y1"), (ZERO, ZERO, Q))
+    out = sigma_map(B.gen("y1"), Functional.char_B(ZERO, ZERO, Q))
     assert out.alg.id == QSL2
     want = embed_podles(B.gen("y1")).scale(Q ** -2) + \
         A.monomial(qsl2_word(-2, 0, 0)).scale(Q)

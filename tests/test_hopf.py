@@ -1,12 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from qsphere import hopf
 from qsphere.hopf import (Tensor, antipode, b_coproduct, b_coproduct_grouped,
-                          b_coproduct_word, coideal_membership, coproduct,
-                          counit, left_coaction, project_pi, rho, rho_check,
-                          _COP_GEN, _cop_word)
+                          b_coproduct_word, coideal_membership,
+                          contract_left, coproduct, counit, left_coaction,
+                          project_pi, rho, rho_check, _COP_GEN, _coact_word,
+                          _cop_word)
 from qsphere.ncalg import (LAURENT, PODLES, QSL2, SMASH_Z2, Context, NCPoly,
                            embed_podles, express_in_podles, filtration_basis,
                            get_algebra, podles_index, qsl2_word, _embed_word)
@@ -125,6 +127,79 @@ def test_one_valued_coefficients_are_the_fields_one(field):
     ones = [c for c in coeffs if c == one]
     assert len(ones) > 100
     assert all(c is one for c in ones)
+
+
+# ---------------------------------------------------------------------------
+# contract_left against contractions of the full Sweedler tensors
+# ---------------------------------------------------------------------------
+
+def _random_element(alg, rng, maxlen):
+    field = alg.field
+    pool = filtration_basis(alg, maxlen)
+    return alg.poly({rng.choice(pool): field.q_power(rng.randint(-2, 2))
+                     * field.from_int(rng.choice((-2, -1, 1, 3)))
+                     for _ in range(4)})
+
+
+def _contract_oracle(t, f, field):
+    """sum c * f(l) r over the terms c * (l (x) r) of the Tensor t."""
+    out = {}
+    for (lw, rw), c in t.terms.items():
+        out[rw] = out.get(rw, field.zero) + c * f(lw)
+    return {rw: c for rw, c in out.items() if not field.is_zero(c)}
+
+
+@FIELDS
+@pytest.mark.parametrize("route", ["coproduct", "b_coproduct",
+                                   "left_coaction"])
+def test_contract_left_matches_the_contracted_tensor(field, route):
+    Af = get_algebra(QSL2, field)
+    Bf = Af.ctx.B
+    alg, legs, tensor = {
+        "coproduct": (Af, lambda w: _cop_word(Af, w), coproduct),
+        "b_coproduct": (Bf, lambda w: b_coproduct_word(Bf, w), b_coproduct),
+        "left_coaction": (Af, lambda w: _coact_word(Af, w), left_coaction),
+    }[route]
+
+    def f(w):    # -1, 0 or 1, so the zero skip is exercised
+        return field.from_int((len(w) + 2 * sum(w)) % 3 - 1)
+
+    rng = random.Random(97)
+    for _ in range(25):
+        x = _random_element(alg, rng, 4)
+        got = contract_left(x.terms, legs, f, field)
+        assert got == _contract_oracle(tensor(x), f, field), x.render()
+        assert not any(field.is_zero(c) for c in got.values())
+
+
+@FIELDS
+def test_contract_left_drops_a_cancelled_right_leg(field):
+    # with f = 1 on every word, a and c both contract to a + c
+    Af = get_algebra(QSL2, field)
+    x = Af.gen("a") - Af.gen("c")
+
+    def legs(w):
+        return _cop_word(Af, w)
+
+    got = contract_left(x.terms, legs, lambda w: field.one, field)
+    assert got == {} == _contract_oracle(coproduct(x), lambda w: field.one,
+                                         field)
+    got = contract_left(Af.gen("a").terms, legs, lambda w: field.one, field)
+    assert got == {(0,): field.one, (3,): field.one}
+
+
+@FIELDS
+def test_s_minus_two_is_a_coalgebra_map(field):
+    # sigma_inverse_apply contracts Delta(S^-2 x) for (S^-2 (x) S^-2) Delta x
+    Af = get_algebra(QSL2, field)
+    words = filtration_basis(Af, 5)
+    assert len(words) == 91
+    for w in words:
+        want = Tensor.zero(Af, Af)
+        for (lw, rw), c in _cop_word(Af, w).items():
+            want = want + Tensor.of(antipode(mono(Af, lw), -2),
+                                    antipode(mono(Af, rw), -2)).scale(c)
+        assert coproduct(antipode(mono(Af, w), -2)) == want, w
 
 
 def test_counit():

@@ -94,10 +94,8 @@ def check_confluence(seed=42, trials=1000, maxlen=8, field=SYMBOLIC):
             if left != right:
                 bad += 1
         mismatches[alg.id] = bad
-    B = ctx.B
-    z1 = B.gen("y1") + B.gen("y0")
-    zm1 = B.gen("y-1") + B.gen("y0")
-    rel = zm1 * z1 - (z1 * zm1).scale(field.q_power(2))
+    K = koszul.KoszulComplex(field)
+    rel = K.zm1 * K.z1 - (K.z1 * K.zm1).scale(K.lam)
     return ({"mismatches": mismatches, "z_relation": rel.render()},
             {"mismatches": {a: 0 for a in mismatches}, "z_relation": "0"})
 

@@ -125,10 +125,11 @@ def _field(args):
     if args.q is None:
         return SYMBOLIC
     try:
-        q0 = Fraction(args.q)
+        return NumericField(Fraction(args.q))
     except ZeroDivisionError:
         raise ValueError(f"--q {args.q}: division by zero") from None
-    return NumericField(q0)
+    except ValueError as exc:
+        raise ValueError(f"--q {args.q}: {exc}") from None
 
 
 def _emit(args, payload):
@@ -185,128 +186,110 @@ def _parse_chi(raw, field):
     return duality.Functional.char_B(*vals, field)
 
 
-def run(args):
-    t0 = time.perf_counter()
-    field = _field(args)
+def _payload(args, field, t0):
+    """The report (or list of reports) of the command named in args."""
     cmd = args.command
 
     if cmd == "nf":
         alg = get_algebra(_ALG_NAMES[args.algebra], field)
-        _emit(args, {"result": parse_expr(args.expr, alg).render()})
-        return 0
+        return {"result": parse_expr(args.expr, alg).render()}
 
     if cmd == "delta":
         alg = get_algebra(_ALG_NAMES[args.algebra], field)
-        t = coproduct(parse_expr(args.expr, alg))
-        _emit(args, {"result": t.render_terms()})
-        return 0
+        return {"result": coproduct(parse_expr(args.expr, alg)).render_terms()}
 
     if cmd == "antipode":
         alg = get_algebra(_ALG_NAMES[args.algebra], field)
         p = antipode(parse_expr(args.expr, alg), args.power)
-        _emit(args, {"result": p.render()})
-        return 0
+        return {"result": p.render()}
 
     if cmd == "pi":
         alg = get_algebra(QSL2, field)
-        _emit(args, {"result": project_pi(parse_expr(args.expr, alg)).render()})
-        return 0
+        return {"result": project_pi(parse_expr(args.expr, alg)).render()}
 
     if cmd == "member":
         alg = get_algebra(QSL2, field)
         p = parse_expr(args.expr, alg)
-        member = coideal_membership(p)
-        _emit(args, {"result": member,
-                     "coaction": left_coaction(p).render_terms()})
-        return 0
+        return {"result": coideal_membership(p),
+                "coaction": left_coaction(p).render_terms()}
 
     if cmd == "koszul-verify":
         if args.N < 2:
             raise ValueError(f"--N {args.N}: koszul-verify needs N >= 2")
         rep = checks.check_koszul_exactness(levels=(args.N,), field=field)
         rep["result"]["d1_d2_levels"] = args.N
-        _emit(args, rep)
-        return 0 if rep["pass"] else 1
+        return rep
 
     if cmd == "ext":
         r = koszul.ext_counit_module(args.N, field)
         # stable: one more filtration level leaves the dims unchanged
         nxt = koszul.ext_counit_module(args.N + 1, field)
-        rep = checks._report("ext", {"N": args.N}, {
+        return checks._report("ext", {"N": args.N}, {
             "dims": list(r["dims"]),
             "character": {k: field.render(v) for k, v in r["character"].items()},
             "stable": r["dims"] == nxt["dims"]}, {"dims": [0, 0, 1]}, t0)
-        _emit(args, rep)
-        return 0 if rep["pass"] else 1
 
     if cmd == "zeta":
         _, r = koszul.zeta_matrix(args.jmax, field)
-        rep = checks._report("zeta", {"jmax": args.jmax}, r,
-                             {"full_column_rank": True}, t0)
-        _emit(args, rep)
-        return 0 if rep["pass"] else 1
+        return checks._report("zeta", {"jmax": args.jmax}, r,
+                              {"full_column_rank": True}, t0)
 
     if cmd == "h0-table":
-        rep = checks.check_h0_grid(args.imax, args.jmax, field)
-        _emit(args, rep)
-        return 0 if rep["pass"] else 1
+        return checks.check_h0_grid(args.imax, args.jmax, field)
 
     if cmd == "xi-check":
         given = {} if args.trials is None else {"trials": args.trials}
-        rep = checks.check_conjugation_law(seed=args.seed, field=field,
-                                           **given)
-        _emit(args, rep)
-        return 0 if rep["pass"] else 1
+        return checks.check_conjugation_law(seed=args.seed, field=field,
+                                            **given)
 
     if cmd == "sigma":
         B = get_algebra(PODLES, field)
         p = parse_expr(getattr(args, "apply"), B)
         chi = _parse_chi(args.chi, field)
-        _emit(args, {"result": hochschild.sigma_map(p, chi).render()})
-        return 0
+        return {"result": hochschild.sigma_map(p, chi).render()}
 
     if cmd == "omega-basis":
         A = get_algebra(QSL2, field)
         basis = duality.omega_basis(args.n, args.N, field)
-        _emit(args, {"result": [A.render_word(w) for w in basis],
-                     "params": {"n": args.n, "m": args.m, "N": args.N}})
-        return 0
+        return {"result": [A.render_word(w) for w in basis],
+                "params": {"n": args.n, "m": args.m, "N": args.N}}
 
     if cmd == "fridge-check":
-        rep = checks.check_omega_products(N=args.N, field=field)
-        _emit(args, rep)
-        return 0 if rep["pass"] else 1
+        return checks.check_omega_products(N=args.N, field=field)
 
     if cmd == "beta":
         A = get_algebra(QSL2, field)
         p = parse_expr(getattr(args, "apply"), A)
-        _emit(args, {"result": duality.beta_projection(p).render()})
-        return 0
+        return {"result": duality.beta_projection(p).render()}
 
     if cmd == "transes-check":
         r = duality.transes_check(args.N, None, field)
-        rep = checks._report("transes", {"maxlen": args.N},
-                             {"failures": r["failures"]}, {"failures": []}, t0)
-        _emit(args, rep)
-        return 0 if rep["pass"] else 1
+        return checks._report("transes", {"maxlen": args.N},
+                              {"failures": r["failures"]}, {"failures": []},
+                              t0)
 
     if cmd == "sigma-inv-check":
         r = duality.sigma_inverse_check(args.N, field)
-        rep = checks._report(
+        return checks._report(
             "sigma-inv", {"N": args.N},
             {"ray_failures": r["ray_failures"],
              "roundtrip_failures": r["roundtrip_failures"]},
             {"ray_failures": [], "roundtrip_failures": []}, t0)
-        _emit(args, rep)
-        return 0 if rep["pass"] else 1
 
     if cmd == "verify-all":
-        reports, ok = checks.run_all(seed=args.seed, field=field,
-                                     trials=args.trials)
-        _emit(args, reports)
-        return 0 if ok else 1
+        return checks.run_all(seed=args.seed, field=field,
+                              trials=args.trials)[0]
 
     raise AssertionError(f"unhandled command {cmd}")
+
+
+def run(args):
+    """Emit the command's payload; exit 1 if a report in it fails, else 0."""
+    t0 = time.perf_counter()
+    payload = _payload(args, _field(args), t0)
+    _emit(args, payload)
+    reports = payload if isinstance(payload, list) else [payload]
+    return 1 if any(r.get("pass") is False for r in reports) else 0
 
 
 def main(argv=None):

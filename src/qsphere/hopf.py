@@ -148,6 +148,15 @@ def leg_product(left, right, lmul, rmul, field):
     return out
 
 
+def _extend(p, L, R, legs):
+    """The linear extension sum c*legs(w) over the terms c*w of p, as a
+    Tensor over L (x) R; legs(w) is a Sweedler dict {(l, r): cc}."""
+    out = {}
+    for w, c in p.terms.items():
+        axpy(out, legs(w).items(), L.field.is_zero, c)
+    return Tensor(L, R, out)
+
+
 def contract_left(terms, legs, f, field):
     """The contraction f(x_(1)) x_(2) of x = sum c*w, given as {w: c},
     against the Sweedler terms {(l, r): cc} of legs(w): the sparse
@@ -191,11 +200,7 @@ def coproduct(p):
         return coproduct(embed_podles(p))
     if p.alg.id not in _COP_GEN:
         raise ValueError(f"no coproduct on {p.alg.id}")
-    out = Tensor.zero(p.alg, p.alg)
-    for w, c in p.terms.items():
-        for (lw, rw), cc in _cop_word(p.alg, w).items():
-            out.add_term(lw, rw, c * cc)
-    return out
+    return _extend(p, p.alg, p.alg, lambda w: _cop_word(p.alg, w))
 
 
 def _cop_word(alg, w):
@@ -256,11 +261,8 @@ def b_coproduct(p):
     """Coproduct of a sphere element as a Tensor with legs PODLES (x) QSL2."""
     if p.alg.id != PODLES:
         raise ValueError("b_coproduct expects a PODLES element")
-    out = Tensor.zero(p.alg, p.alg.ctx.A)
-    for w, c in p.terms.items():
-        for (lw, rw), cc in b_coproduct_word(p.alg, w).items():
-            out.add_term(lw, rw, c * cc)
-    return out
+    return _extend(p, p.alg, p.alg.ctx.A,
+                   lambda w: b_coproduct_word(p.alg, w))
 
 
 def b_coproduct_grouped(B, w):
@@ -390,13 +392,9 @@ def project_pi(p):
     """pi(a)=z, pi(d)=z^-1, pi(b)=pi(c)=0; on basis words a Kronecker delta."""
     if p.alg.id != QSL2:
         raise ValueError("project_pi expects a QSL2 element")
-    C = p.alg.ctx.C
-    out = C.zero()
-    for w, c in p.terms.items():
-        zw = _pi_word(w)
-        if zw is not None:
-            out = out + NCPoly(C, {zw: c})
-    return out
+    # pi is injective on the words it keeps, so no two terms collide
+    return NCPoly(p.alg.ctx.C, {zw: c for w, c in p.terms.items()
+                                if (zw := _pi_word(w)) is not None})
 
 
 # (pi (x) id) o Delta on the generators: _COP_GEN's Sweedler terms of QSL2
@@ -432,11 +430,7 @@ def left_coaction(p):
     """
     if p.alg.id != QSL2:
         raise ValueError("left_coaction expects a QSL2 element")
-    out = Tensor.zero(p.alg.ctx.C, p.alg)
-    for w, c in p.terms.items():
-        for (zw, rw), cc in _coact_word(p.alg, w).items():
-            out.add_term(zw, rw, c * cc)
-    return out
+    return _extend(p, p.alg.ctx.C, p.alg, lambda w: _coact_word(p.alg, w))
 
 
 def coideal_membership(p):

@@ -12,11 +12,14 @@ truncations, computes the reduction calculus of the quotient B/B*z-1 two
 independent ways (row reduction against the ideal's truncated column space,
 and an iterated single-step rewriting oracle), assembles the matrix of the
 multiplication map zeta: nu(a) |-> nu(a*z1) on the quotient, and computes
-the truncated Ext of the counit module from the dualised complex.  Ext and
-exactness are two calls of one count, _truncated_defects, which reads all
-three degrees of a three-term complex off two long-pivot-first echelons,
-one per map, plus the rank of the middle map on S, the short-pivot rows of
-the boundary echelon.
+the truncated Ext of the counit module from the Hom-dual Hom_B(K, B), with
+coboundaries f |-> (z1*f, z-1*f) and (f, g) |-> z-1*f - q^2*z1*g.  Both
+complexes come from _multiplication_maps, multiplication by the generator
+images of (d2, d1) on the right for K and of (d1, d2) on the left for its
+dual, and both are counted by _truncated_defects, which reads all three
+degrees of a three-term complex off two long-pivot-first echelons, one per
+map, plus the rank of the middle map on S, the short-pivot rows of the
+boundary echelon.
 
 A fact the calculus hinges on: in B/B*z-1 the trailing-generator rule is
 nu(b*y-1) = -nu(b*y0), and the minus sign propagates.  Reducing
@@ -70,14 +73,6 @@ def koszul_d2_d1_zero(maxlen=6, field=SYMBOLIC):
 # truncated exactness
 # ---------------------------------------------------------------------------
 
-def _pair_vec(pair):
-    out = {}
-    for tag, p in enumerate(pair):
-        for w, c in p.terms.items():
-            out[(tag, w)] = c
-    return out
-
-
 def _truncated_defects(field, B, N, top, middle):
     """((dim ker top, dim ker middle, outside, coker), middle echelon) for
     maps top: words -> pair vectors and middle: (tag, word) columns -> B,
@@ -119,6 +114,30 @@ def _truncated_defects(field, B, N, top, middle):
             n - inside), coker
 
 
+def _multiplication_maps(K, left):
+    """(top, middle) for _truncated_defects: multiplication by the generator
+    images d2(1) = (z-1, -q^2*z1) and d1(1, 0), d1(0, 1) = (z1, z-1), read
+    through K.  By (d2, d1) on the right it is K; by (d1, d2) on the left,
+    its Hom-dual Hom_B(K, B), whose cohomology is Ext_B(k, B)."""
+    B = K.B
+    one, zero = B.one(), B.zero()
+    d1 = (K.d1((one, zero)), K.d1((zero, one)))
+    top_gens, mid_gens = (d1, K.d2(one)) if left else (K.d2(one), d1)
+
+    def mul(g, w):
+        p = B.monomial(w)
+        return (g * p if left else p * g).terms
+
+    def top(w):
+        return {(t, v): c for t, g in enumerate(top_gens)
+                for v, c in mul(g, w).items()}
+
+    def middle(col):
+        return mul(mid_gens[col[0]], col[1])
+
+    return top, middle
+
+
 def exactness_check(N, field=SYMBOLIC):
     """Truncated homology of the Koszul complex.
 
@@ -129,18 +148,8 @@ def exactness_check(N, field=SYMBOLIC):
     if N < 2:
         raise ValueError("exactness_check needs N >= 2")
     K = KoszulComplex(field)
-    B = K.B
-
-    def d2(w):
-        return _pair_vec(K.d2(B.monomial(w)))
-
-    def d1(col):
-        t, w = col
-        p = B.monomial(w)
-        return (K.d1((p, B.zero())) if t == 0 else K.d1((B.zero(), p))).terms
-
     (h2_defect, kernel_dim, h1_defect, h0), _ = _truncated_defects(
-        field, B, N, d2, d1)
+        field, K.B, N, *_multiplication_maps(K, left=False))
     return {"N": N, "H0_dim": h0, "H1_defect_dim": h1_defect,
             "H2_defect_dim": h2_defect, "kernel_dim": kernel_dim,
             "image_source_level": N + 1}
@@ -162,7 +171,7 @@ def _nu_echelon(field, L):
 
 
 def _nu_echelon_of(B, L):
-    zm1 = B.gen("y-1") + B.gen("y0")
+    zm1 = KoszulComplex(B.field).zm1
 
     def order(word):
         return (1 if _is_quotient_word(word) else 0, len(word), word)
@@ -302,11 +311,10 @@ def zeta_matrix(jmax, field=SYMBOLIC):
     """
     if jmax < 1:
         raise ValueError("zeta_matrix needs jmax >= 1")
-    B = get_algebra(PODLES, field)
-    z1 = B.gen("y1") + B.gen("y0")
+    K = KoszulComplex(field)
     dom = quotient_level_basis(jmax)
     cod = quotient_level_basis(jmax + 1)
-    images = [nu_reduce(B.monomial(w) * z1) for w in dom]
+    images = [nu_reduce(K.B.monomial(w) * K.z1) for w in dom]
     tmap = TruncatedMap(field, dom, cod, images)
 
     rows = {w: r for r, w in enumerate(cod)}
@@ -351,8 +359,9 @@ def zeta_matrix(jmax, field=SYMBOLIC):
 # ---------------------------------------------------------------------------
 
 def ext_counit_module(N, field=SYMBOLIC):
-    """Truncated cohomology of 0 <- B <- B(+)B <- B with coboundaries
-    f |-> (z1*f, z-1*f) and (f, g) |-> q^-1*z-1*f - q*z1*g.
+    """Truncated Ext_B(k, B): the cohomology of the Hom-dual Hom_B(K, B),
+    0 -> B -> B(+)B -> B with coboundaries f |-> (z1*f, z-1*f) and
+    (f, g) |-> z-1*f - q^2*z1*g (_multiplication_maps on the left).
 
     Returns degree defect dimensions (expected (0, 0, 1)) and the character
     of the right B-action on the one-dimensional degree-2 cohomology,
@@ -362,24 +371,9 @@ def ext_counit_module(N, field=SYMBOLIC):
         raise ValueError("ext_counit_module needs N >= 2")
     K = KoszulComplex(field)
     B = K.B
-    z1, zm1 = K.z1, K.zm1
-    qi = field.q_power(-1)
-    q1 = field.q_power(1)
-
-    def d0_image(w):
-        p = B.monomial(w)
-        return _pair_vec((z1 * p, zm1 * p))
-
-    def d1_image(col):
-        t, w = col
-        p = B.monomial(w)
-        return ((zm1 * p).scale(qi) if t == 0 else (z1 * p).scale(-q1)).terms
-
-    # degree 0: kernel of f |-> (z1*f, z-1*f); degree 1: kernel of
-    # (f,g) |-> q^-1*z-1*f - q*z1*g against the image from above; degree 2:
-    # B/(z-1*B + z1*B) truncated, read with the echelon of that image
-    (d0, _, d1, d2), ideal = _truncated_defects(field, B, N, d0_image,
-                                                d1_image)
+    # degree 2: B/(z-1*B + z1*B) truncated, read off the middle echelon
+    (d0, _, d1, d2), ideal = _truncated_defects(
+        field, B, N, *_multiplication_maps(K, left=True))
 
     # the class of 1 spans degree 2; right multiplication by the generators
     # gives the character, read off one coordinate of the residue of 1 and

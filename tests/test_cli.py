@@ -249,6 +249,20 @@ def test_zero_denominator_in_q_names_the_flag(monkeypatch, capsys):
     assert err == "error: --q 1/0: division by zero\n"
 
 
+@pytest.mark.parametrize("raw,reason", [
+    ("abc", "Invalid literal for Fraction: 'abc'"),
+    ("1", "q0 must not be a root of unity (|q0| != 1)"),
+    ("0", "q0 must be nonzero"),
+])
+def test_bad_q_values_name_the_flag(monkeypatch, capsys, raw, reason):
+    want = f"error: --q {raw}: {reason}\n"
+    code, out, err = run_cli(capsys, "--q", raw, "nf", "y0")
+    assert (code, out, err) == (2, "", want)
+    monkeypatch.setenv("QSPHERE_Q", raw)
+    code, out, err = run_cli(capsys, "nf", "y0")
+    assert (code, out, err) == (2, "", want)
+
+
 def test_koszul_verify_below_level_two_names_the_flag(capsys):
     code, out, err = run_cli(capsys, "koszul-verify", "--N", "1")
     assert code == 2 and out == ""

@@ -94,8 +94,7 @@ def check_confluence(seed=42, trials=1000, maxlen=8, field=SYMBOLIC):
             if left != right:
                 bad += 1
         mismatches[alg.id] = bad
-    K = koszul.KoszulComplex(field)
-    rel = K.zm1 * K.z1 - (K.z1 * K.zm1).scale(K.lam)
+    rel = koszul.KoszulComplex(field).relation
     return ({"mismatches": mismatches, "z_relation": rel.render()},
             {"mismatches": {a: 0 for a in mismatches}, "z_relation": "0"})
 

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import checks, duality, hochschild, koszul
 from .hopf import antipode, coideal_membership, coproduct, left_coaction, project_pi
@@ -46,7 +45,7 @@ def build_parser():
         prog="qsphere",
         description="exact computations on the quantized SL(2) ring and the "
                     "standard Podles sphere")
-    p.add_argument("--q", default=_env_default("Q", str, None),
+    p.add_argument("--q",
                    help="run in specialized mode with q = this exact rational")
     p.add_argument("--seed", type=int,
                    default=_env_default("SEED", int, 42))
@@ -122,14 +121,18 @@ def build_parser():
 
 
 def _field(args):
-    if args.q is None:
+    raw, name = args.q, f"--q {args.q}"
+    if raw is None:  # the flag wins over the environment
+        raw = os.environ.get("QSPHERE_Q")
+        name = f"QSPHERE_Q={raw!r}"
+    if raw is None:
         return SYMBOLIC
     try:
-        return NumericField(Fraction(args.q))
+        return NumericField(raw)
     except ZeroDivisionError:
-        raise ValueError(f"--q {args.q}: division by zero") from None
+        raise ValueError(f"{name}: division by zero") from None
     except ValueError as exc:
-        raise ValueError(f"--q {args.q}: {exc}") from None
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _emit(args, payload):
@@ -294,8 +297,8 @@ def run(args):
 
 def main(argv=None):
     try:
-        # QSPHERE_* defaults are read while the parser is built, so a bad
-        # value is a usage error like a bad flag
+        # QSPHERE_* defaults are read while the parser is built (QSPHERE_Q
+        # in _field), so a bad value is a usage error like a bad flag
         args = build_parser().parse_args(argv)
         if args.out is None:
             return run(args)

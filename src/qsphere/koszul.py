@@ -44,9 +44,10 @@ class KoszulComplex:
         self.field = field
         B = get_algebra(PODLES, field)
         self.B = B
-        self.z1 = B.gen("y1") + B.gen("y0")
-        self.zm1 = B.gen("y-1") + B.gen("y0")
+        self.z1 = z1 = B.gen("y1") + B.gen("y0")
+        self.zm1 = zm1 = B.gen("y-1") + B.gen("y0")
         self.lam = field.q_power(2)
+        self.relation = zm1 * z1 - (z1 * zm1).scale(self.lam)  # zero in B
 
     def d2(self, a):
         return (a * self.zm1, (a * self.z1).scale(-self.lam))
@@ -60,8 +61,7 @@ def koszul_d2_d1_zero(maxlen=6, field=SYMBOLIC):
     """d1 o d2 = 0: symbolically on the commutation relation and on every
     basis monomial of length <= maxlen."""
     K = KoszulComplex(field)
-    rel = K.zm1 * K.z1 - (K.z1 * K.zm1).scale(K.lam)
-    if not rel.is_zero():
+    if not K.relation.is_zero():
         return False
     for w in filtration_basis(K.B, maxlen):
         if not K.d1(K.d2(K.B.monomial(w))).is_zero():

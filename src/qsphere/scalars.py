@@ -7,8 +7,9 @@ polynomials n and d that q does not divide, reduced so that equality of
 values is equality of representations (see RationalFunction).  Almost
 every scalar the checks meet is a Laurent polynomial, d a positive
 integer, and its arithmetic needs no polynomial gcd.  There is no floating
-point mode; the "fast" mode replaces q by an exact rational number (see
-NumericField), which stays exact as well.
+point mode; the fast mode replaces q by an exact rational q0 = a/b, which
+stays exact as well: its QValues n / (d * |a*b|^s) add and multiply with
+no gcd (see NumericField).
 
 Polynomials are stored little-endian as tuples of Python ints, so
 (1, 0, -2) means 1 - 2*q^2.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, mul, not_, truediv
 
 
 # ---------------------------------------------------------------------------
@@ -509,22 +511,10 @@ class SymbolicField:
 
     zero = ZERO
     one = ONE
-
-    @staticmethod
-    def from_int(n):
-        return RationalFunction.from_int(n)
-
-    @staticmethod
-    def q_power(k):
-        return RationalFunction.q_power(k)
-
-    @staticmethod
-    def is_zero(x):
-        return not x
-
-    @staticmethod
-    def render(x):
-        return x.render()
+    from_int = staticmethod(RationalFunction.from_int)
+    q_power = staticmethod(RationalFunction.q_power)
+    is_zero = staticmethod(not_)
+    render = staticmethod(RationalFunction.render)
 
     def __eq__(self, other):
         return isinstance(other, SymbolicField)
@@ -536,31 +526,116 @@ class SymbolicField:
         return "SymbolicField()"
 
 
+class QValue:
+    """n / (d * D^s), an element of NumericField at q0 = a/b: D = |a*b|,
+    s >= 0 and d > 0 is prime to D.  Values built without division have
+    d = 1; they add and multiply with no gcd and no canonical form.  Other
+    operations go through Fraction.  hash and str are the equal Fraction's.
+    """
+
+    __slots__ = ("n", "s", "d", "D")
+
+    def __init__(self, n, s, d, D):
+        self.n, self.s, self.d, self.D = n, s, d, D
+
+    def fraction(self):
+        return Fraction(self.n, self.d * self.D ** self.s)
+
+    def _via(self, o, op):
+        if type(o) is QValue:
+            o = o.fraction()
+        elif not isinstance(o, (int, Fraction)):
+            return NotImplemented
+        return _split(op(self.fraction(), o), self.D)
+
+    def __add__(self, o):
+        if type(o) is not QValue or self.d != 1 or o.d != 1:
+            return self._via(o, add)
+        s, t = self.s, o.s
+        if s >= t:
+            return QValue(self.n + o.n * self.D ** (s - t), s, 1, self.D)
+        return QValue(self.n * self.D ** (t - s) + o.n, t, 1, self.D)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QValue(-self.n, self.s, self.d, self.D)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if type(o) is not QValue or self.d != 1 or o.d != 1:
+            return self._via(o, mul)
+        return QValue(self.n * o.n, self.s + o.s, 1, self.D)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        return self._via(o, truediv)
+
+    def __rtruediv__(self, o):
+        return self._via(o, lambda x, y: y / x)
+
+    def __pow__(self, k):
+        if k < 0 or self.d != 1:
+            return _split(self.fraction() ** k, self.D)
+        return QValue(self.n ** k, self.s * k, 1, self.D)
+
+    def __bool__(self):
+        return self.n != 0
+
+    def __eq__(self, o):
+        if type(o) is not QValue:
+            return self.fraction() == o
+        s, t, D = self.s, o.s, self.D
+        return (self.n * o.d * D ** max(t - s, 0)
+                == o.n * self.d * D ** max(s - t, 0))
+
+    def __hash__(self):
+        return hash(self.fraction())
+
+    def __str__(self):
+        return str(self.fraction())
+
+    __repr__ = __str__
+
+
+def _split(fr, D):
+    """The Fraction fr as a QValue over D, with the least s."""
+    d = r = fr.denominator
+    while (g := gcd(d, D)) > 1:
+        d //= g
+    s, p, r = 0, 1, r // d      # r // d: the factor of r made of D's primes
+    while p % r:
+        s, p = s + 1, p * D
+    return QValue(fr.numerator * (p // r), s, d, D)
+
+
 class NumericField:
-    """Q with q specialised to an exact rational q0 (never a root of unity)."""
+    """Q with q specialised to an exact rational q0 (never a root of unity),
+    with QValue elements over D = |a*b| for q0 = a/b."""
+
+    is_zero = staticmethod(not_)
+    render = staticmethod(str)
 
     def __init__(self, q0):
         q0 = Fraction(q0)
         _check_q0(q0)
         self.q0 = q0
         self.name = f"q={q0}"
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.D = D = abs(q0.numerator * q0.denominator)
+        self.zero, self.one = QValue(0, 0, 1, D), QValue(1, 0, 1, D)
+        self._q = _split(q0, D), _split(1 / q0, D)     # q0^1 and q0^-1
 
-    @staticmethod
-    def from_int(n):
-        return Fraction(n)
+    def from_int(self, n):
+        return QValue(n, 0, 1, self.D)
 
     def q_power(self, k):
-        return self.q0 ** k
-
-    @staticmethod
-    def is_zero(x):
-        return x == 0
-
-    @staticmethod
-    def render(x):
-        return str(x)
+        return self._q[k < 0] ** abs(k)
 
     def __eq__(self, other):
         return isinstance(other, NumericField) and self.q0 == other.q0

@@ -246,7 +246,7 @@ def test_zero_denominator_in_q_names_the_flag(monkeypatch, capsys):
     monkeypatch.setenv("QSPHERE_Q", "1/0")
     code, out, err = run_cli(capsys, "nf", "y0")
     assert code == 2 and out == ""
-    assert err == "error: --q 1/0: division by zero\n"
+    assert err == "error: QSPHERE_Q='1/0': division by zero\n"
 
 
 @pytest.mark.parametrize("raw,reason", [
@@ -260,7 +260,19 @@ def test_bad_q_values_name_the_flag(monkeypatch, capsys, raw, reason):
     assert (code, out, err) == (2, "", want)
     monkeypatch.setenv("QSPHERE_Q", raw)
     code, out, err = run_cli(capsys, "nf", "y0")
+    assert (code, out, err) == (2, "", f"error: QSPHERE_Q={raw!r}: {reason}\n")
+    # the flag wins over the environment and names itself
+    code, out, err = run_cli(capsys, "--q", raw, "nf", "y0")
     assert (code, out, err) == (2, "", want)
+
+
+def test_q_from_the_environment_is_used_unless_the_flag_is_given(
+        monkeypatch, capsys):
+    monkeypatch.setenv("QSPHERE_Q", "3/2")
+    code, out, _ = run_cli(capsys, "nf", "q*y0")
+    assert code == 0 and json.loads(out)["result"] == "3/2*y0"
+    code, out, _ = run_cli(capsys, "--q", "5", "nf", "q*y0")
+    assert code == 0 and json.loads(out)["result"] == "5*y0"
 
 
 def test_koszul_verify_below_level_two_names_the_flag(capsys):

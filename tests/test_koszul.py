@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qsphere import koszul
+from qsphere import checks, koszul
 from qsphere.koszul import (KoszulComplex, TruncatedMap, exactness_check,
                             ext_counit_module, koszul_d2_d1_zero,
                             nu_closed_form, nu_reduce, nu_reduce_oracle,
@@ -113,9 +113,24 @@ def test_defect_ranks_match_sympy(monkeypatch, N):
                               middle, mid_ker)):
             images = [f(c) for c in cols]
             keys = sorted({k for img in images for k in img}, key=repr)
-            m = sympy.Matrix([[img.get(k, 0) for img in images]
-                              for k in keys])
+            m = sympy.Matrix([[sympy.Rational(str(img.get(k, 0)))
+                               for img in images] for k in keys])
             assert m.rank() == len(cols) - ker
+
+
+def test_exactness_and_confluence_read_one_z_relation(monkeypatch):
+    init = KoszulComplex.__init__
+
+    def bent(self, field=SYMBOLIC):
+        init(self, field)
+        self.relation = self.z1     # a nonzero stand-in for z-1*z1 - lam*z1*z-1
+
+    assert KoszulComplex().relation.is_zero()
+    monkeypatch.setattr(KoszulComplex, "__init__", bent)
+    assert not koszul_d2_d1_zero(maxlen=0)
+    rep = checks.check_confluence(trials=1, maxlen=0)
+    assert rep["result"]["z_relation"] == (B.gen("y1") + B.gen("y0")).render()
+    assert rep["pass"] is False
 
 
 def _lam_q(monkeypatch):

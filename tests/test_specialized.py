@@ -11,7 +11,7 @@ from qsphere.koszul import ext_counit_module, nu_reduce, nu_reduce_oracle
 from qsphere.linalg import Echelon
 from qsphere.ncalg import (PODLES, QSL2, Memo, filtration_basis,
                            get_algebra, parse_expr, podles_word)
-from qsphere.scalars import (NumericField, RationalFunction, SYMBOLIC,
+from qsphere.scalars import (NumericField, QValue, RationalFunction, SYMBOLIC,
                              SymbolicField, specialize)
 
 Q0 = Fraction(3, 2)
@@ -48,14 +48,15 @@ def test_ext_specialized():
 
 def test_checks_agree_across_modes():
     fast = [
-        ("confluence", dict(seed=1, trials=60, maxlen=6)),
-        ("h0-grid", dict(imax=2, jmax=1)),
-        ("omega-products", dict(N=2)),
-        ("convolution-transes", dict(maxlen=3, seed=1)),
+        ("confluence", dict(seed=1, trials=60, maxlen=6), NUM),
+        ("h0-grid", dict(imax=2, jmax=1), NUM),
+        ("omega-products", dict(N=2), NUM),
+        ("convolution-transes", dict(maxlen=3, seed=1), NUM),
+        ("sigma-inverse", dict(N=3), NumericField(-2)),
     ]
-    for name, kwargs in fast:
+    for name, kwargs, field in fast:
         sym = checks.CHECKS[name](field=SYMBOLIC, **kwargs)
-        num = checks.CHECKS[name](field=NUM, **kwargs)
+        num = checks.CHECKS[name](field=field, **kwargs)
         assert sym["pass"] == num["pass"] is True, name
 
 
@@ -88,13 +89,13 @@ def test_symbolic_and_numeric_contexts_share_no_cache_entry():
     for w in filtration_basis(sym, 3):
         _cop_word(sym, w)
         _cop_word(num, w)
-    for alg, kind in ((sym, RationalFunction), (num, Fraction)):
+    for alg, kind in ((sym, RationalFunction), (num, QValue)):
         assert alg._cop_cache
         for cop in alg._cop_cache.values():
             assert all(type(c) is kind for c in cop.values())
     # every Memo of both contexts and their presets, filled at level 2
     memos = {}
-    for field, kind in ((SYMBOLIC, RationalFunction), (NUM, Fraction)):
+    for field, kind in ((SYMBOLIC, RationalFunction), (NUM, QValue)):
         ctx = get_algebra(QSL2, field).ctx
         for alg in ctx.presets.values():
             basis = filtration_basis(alg, 2)

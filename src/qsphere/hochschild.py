@@ -14,7 +14,10 @@ tensor the full quantized coordinate ring, left action on the first leg,
 right action through the second) and 'A_twist' (the coordinate ring with
 the right action twisted by an even antipode power, which carries the
 twisted family omega(n, m) of duality).  The twisted coboundary and xi
-need the right A-action and are not defined on 'B'.
+need the right A-action and are not defined on 'B'.  h0_twisted_center
+solves for the twisted centres of that family from rows read off cached
+products with single generator words: each sphere generator embeds as one
+word, which an even antipode power only rescales.
 
 character_action takes a torus character X_t (duality.Functional.char_A),
 which acts on basis words by weight, X_t.w = w_(1) X_t(w_(2)) = t^wt(w) w;
@@ -29,7 +32,7 @@ import itertools
 # unused _cop_word: perfbench's tracer test checks that it patches this name
 from .hopf import (Tensor, _cop_word, antipode, b_coproduct_grouped,
                    b_coproduct_word, contract_left, leg_product)
-from .linalg import kernel
+from .linalg import axpy, kernel
 from .ncalg import (PODLES, QSL2, NCPoly, embed_podles, express_in_podles,
                     filtration_basis, get_algebra, podles_index, qsl2_index,
                     qsl2_word)
@@ -383,13 +386,22 @@ def h0_twisted_center(i, j, N, field=SYMBOLIC):
     A = get_algebra(QSL2, field)
     B = A.ctx.B
     cols = weight_basis_words(i, N)
-    gens = [embed_podles(B.gen(g)) for g in ("y-1", "y0", "y1")]
-    twisted = [(g, antipode(g, 2 * j)) for g in gens]
+    # each generator embeds as one word g, c*g, and S^(2j)(c*g) = c'*g, so
+    # the k-th block of column w is c*(g*w) - c'*(w*g) from cached products
+    twisted = []
+    for name in ("y-1", "y0", "y1"):
+        gen = embed_podles(B.gen(name))
+        (g, c), = gen.terms.items()
+        twisted.append((g, c, -antipode(gen, 2 * j).terms[g]))
+    mul, zero = A.mul_words, field.is_zero
 
     def image(w):
-        p = A.monomial(w)
-        return {(k, iw): c for k, (g, sg) in enumerate(twisted)
-                for iw, c in (g * p - p * sg).terms.items()}
+        vec = {}
+        for k, (g, c, minus_c2) in enumerate(twisted):
+            axpy(vec, (((k, v), x) for v, x in mul(g, w).items()), zero, c)
+            axpy(vec, (((k, v), x) for v, x in mul(w, g).items()), zero,
+                 minus_c2)
+        return vec
 
     return [NCPoly(A, vec) for vec in kernel(field, cols, image)]
 

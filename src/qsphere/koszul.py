@@ -10,8 +10,10 @@ free resolution
 This module verifies the complex and its exactness in filtration
 truncations, computes the reduction calculus of the quotient B/B*z-1 two
 independent ways (row reduction against the ideal's truncated column space,
-and an iterated single-step rewriting oracle), assembles the matrix of the
-multiplication map zeta: nu(a) |-> nu(a*z1) on the quotient, and computes
+whose echelon at level L extends the one at level L-1, and an iterated
+single-step rewriting oracle, memoised per sphere word and never touching
+the echelon), assembles the matrix of the multiplication map
+zeta: nu(a) |-> nu(a*z1) on the quotient, and computes
 the truncated Ext of the counit module from the Hom-dual Hom_B(K, B), with
 coboundaries f |-> (z1*f, z-1*f) and (f, g) |-> z-1*f - q^2*z1*g.  Both
 complexes come from _multiplication_maps, multiplication by the generator
@@ -170,15 +172,22 @@ def _nu_echelon(field, L):
     return get_algebra(PODLES, field).ctx._nu_cache[L]
 
 
+def _nu_order(word):
+    return (1 if _is_quotient_word(word) else 0, len(word), word)
+
+
 def _nu_echelon_of(B, L):
-    zm1 = KoszulComplex(B.field).zm1
-
-    def order(word):
-        return (1 if _is_quotient_word(word) else 0, len(word), word)
-
-    ech = Echelon(B.field, column_order=order)
-    for w in filtration_basis(B, L - 1) if L >= 1 else ():
-        ech.add((B.monomial(w) * zm1).terms)
+    """Level L extends level L-1: a shallow copy of its rows (stored rows
+    are never mutated) plus the rows of w*z-1 for the words w of length
+    L-1.  filtration_basis is sorted by length, so the rows and their order
+    are those of a fresh build over F_(L-1)."""
+    ech = Echelon(B.field, column_order=_nu_order)
+    if L >= 1:
+        ech.rows.update(B.ctx._nu_cache[L - 1].rows)
+        zm1 = KoszulComplex(B.field).zm1
+        for w in filtration_basis(B, L - 1):
+            if len(w) == L - 1:
+                ech.add((B.monomial(w) * zm1).terms)
     return ech
 
 
@@ -206,28 +215,37 @@ def nu_reduce_oracle(i, j, field=SYMBOLIC):
     Structurally independent of nu_reduce: each step either replaces a
     trailing y-1 by -y0, or commutes one y0 to the right end
     (y0^i y1^j = q^(2j) y0^(i-1) y1^j y0) and replaces it by -y-1,
-    multiplying out with the defining relations.
+    multiplying out with the defining relations.  nu of each sphere word is
+    memoised on the context (ctx._nu_oracle_cache); the caller gets a copy.
     """
+    if i < 0:
+        raise ValueError(f"oracle needs i >= 0, got i = {i}")
     if i + abs(j) > 12:
         raise ValueError("oracle limited to i + |j| <= 12")
-    B = get_algebra(PODLES, field)
-    pending = {podles_word(i, j): field.one}
+    return dict(get_algebra(PODLES, field).ctx._nu_oracle_cache[
+        podles_word(i, j)])
+
+
+def _nu_oracle_of(B, w):
+    """nu(w): w itself for a quotient word, else one rewriting step and the
+    memoised nu of each word it yields.  Every step lowers |j|, so the
+    recursion ends."""
+    field = B.field
+    if _is_quotient_word(w):
+        return {w: field.one}
+    wi, wj = podles_index(w)
+    if wj < 0:
+        # nu(b*y-1) = -nu(b*y0)
+        head = B.monomial(podles_word(wi, wj + 1))
+        step = (head * B.gen("y0")).scale(-field.one)
+    else:
+        # nu(y0^i y1^j) = -q^(2j) nu(y0^(i-1) y1^j y-1)
+        head = B.monomial(podles_word(wi - 1, wj))
+        step = (head * B.gen("y-1")).scale(-field.q_power(2 * wj))
+    memo = B.ctx._nu_oracle_cache
     out = {}
-    while pending:
-        w, c = pending.popitem()
-        wi, wj = podles_index(w)
-        if _is_quotient_word(w):
-            axpy(out, ((w, c),), field.is_zero)
-            continue
-        if wj < 0:
-            # nu(b*y-1) = -nu(b*y0)
-            head = B.monomial(podles_word(wi, wj + 1))
-            step = (head * B.gen("y0")).scale(-field.one)
-        else:
-            # nu(y0^i y1^j) = -q^(2j) nu(y0^(i-1) y1^j y-1)
-            head = B.monomial(podles_word(wi - 1, wj))
-            step = (head * B.gen("y-1")).scale(-field.q_power(2 * wj))
-        axpy(pending, step.terms.items(), field.is_zero, c)
+    for v, c in step.terms.items():
+        axpy(out, memo[v].items(), field.is_zero, c)
     return out
 
 
@@ -240,6 +258,8 @@ def nu_closed_form(i, j, field=SYMBOLIC):
     the overall sign is forced by nu(b*y0) = -nu(b*y-1).
     j > 0, i = 0: nu(y1^j) is already a basis vector.
     """
+    if i < 0:
+        raise ValueError(f"closed forms need i >= 0, got i = {i}")
     if j == 0 or (j > 0 and i == 0):
         return {podles_word(i, j): field.one}
     if j < 0:

@@ -301,7 +301,10 @@ class Context:
       ctx._bcop_cache      sphere word -> hopf._b_coproduct_word_of
       ctx._coact_cache     QSL2 word -> its left coaction: hopf._coact_word_of
       ctx._ad_cache        sphere word -> w_(1) (x) S(w_(2)): hopf._ad_terms_of
-      ctx._nu_cache        L -> echelon of B*z-1 in F_L: koszul._nu_echelon_of
+      ctx._nu_cache        L -> echelon of B*z-1 in F_L, extending level
+                           L-1's rows: koszul._nu_echelon_of
+      ctx._nu_oracle_cache sphere word -> nu of it by rewriting:
+                           koszul._nu_oracle_of
       ctx.q_power          e -> q^e, seeded with q^0 = the field's one
       ctx.gauss_row        k -> Gaussian binomials [k r] in q^2, r = 0..k
 
@@ -313,7 +316,7 @@ class Context:
 
     def __init__(self, field):
         from .hopf import _ad_terms_of, _b_coproduct_word_of, _coact_word_of
-        from .koszul import _nu_echelon_of
+        from .koszul import _nu_echelon_of, _nu_oracle_of
         self.field = field
         one = field.one
         qp = field.q_power
@@ -350,6 +353,7 @@ class Context:
         self._coact_cache = Memo(partial(_coact_word_of, self))
         self._ad_cache = Memo(partial(_ad_terms_of, self.B))
         self._nu_cache = Memo(partial(_nu_echelon_of, self.B))
+        self._nu_oracle_cache = Memo(partial(_nu_oracle_of, self.B))
         self.q_power = Memo(qp, {0: one})
         self.gauss_row = Memo(
             lambda k: [q_bracket(k, r, field) for r in range(k + 1)])

@@ -12,8 +12,9 @@ from qsphere.hochschild import (Bimodule, Cochain, CharacterFunctional,
                                 random_argument_tuples, random_cochain,
                                 sigma_map, twisted_d, xi)
 from qsphere.hopf import Tensor, _cop_word, antipode, b_coproduct_grouped
-from qsphere.ncalg import (PODLES, QSL2, filtration_basis, get_algebra,
-                           podles_word, qsl2_word)
+from qsphere.linalg import kernel
+from qsphere.ncalg import (PODLES, QSL2, embed_podles, filtration_basis,
+                           get_algebra, podles_word, qsl2_word)
 from qsphere.scalars import ONE, Q, SYMBOLIC, ZERO, NumericField
 
 B = get_algebra(PODLES)
@@ -215,6 +216,33 @@ def test_h0_examples():
     assert len(sols) == 1 and set(sols[0].terms) == {qsl2_word(0, 2, 0)}
     with pytest.raises(ValueError):
         h0_twisted_center(2, 1, 3)
+
+
+@pytest.mark.parametrize("field", [SYMBOLIC, NumericField("3/2")],
+                         ids=["symbolic", "q=3/2"])
+def test_h0_rows_equal_the_ncpoly_commutators(monkeypatch, field):
+    # every column's rows, keys in order, against g*p - p*S^(2j)(g) built
+    # from NCPoly products, on the default h0-grid
+    from qsphere import hochschild
+    Af = get_algebra(QSL2, field)
+    gens = [embed_podles(Af.ctx.B.gen(g)) for g in ("y-1", "y0", "y1")]
+    seen = []
+
+    def spy(field, cols, image):
+        seen.append((cols, image))
+        return kernel(field, cols, image)
+
+    monkeypatch.setattr(hochschild, "kernel", spy)
+    for j in range(4):
+        twisted = [(g, antipode(g, 2 * j)) for g in gens]
+        for i in range(-6, 7):
+            h0_twisted_center(i, j, 2 * j + abs(i) + 2, field)
+            cols, image = seen.pop()
+            for w in cols:
+                p = Af.monomial(w)
+                old = {(k, iw): c for k, (g, sg) in enumerate(twisted)
+                       for iw, c in (g * p - p * sg).terms.items()}
+                assert list(image(w).items()) == list(old.items()), (i, j, w)
 
 
 def test_h0_center_is_constants():

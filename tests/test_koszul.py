@@ -14,7 +14,7 @@ from qsphere.koszul import (KoszulComplex, TruncatedMap, exactness_check,
                             quotient_level_basis, zeta_matrix)
 from qsphere.ncalg import (PODLES, NCPoly, filtration_basis,
                            get_algebra, grade_decompose, podles_degree,
-                           podles_word)
+                           podles_index, podles_word)
 from qsphere.linalg import Echelon, axpy, kernel, rank
 from qsphere.scalars import ONE, Q, SYMBOLIC, NumericField
 
@@ -308,6 +308,82 @@ def test_nu_oracle_sign_on_y1_branch():
     zm1 = B.gen("y-1") + B.gen("y0")
     witness = B.gen("y0") * z1 + B.gen("y0").scale(Q) - (B.gen("y1") * zm1).scale(Q ** 2)
     assert witness.is_zero()
+
+
+def _pending_oracle(i, j, field):
+    """nu(y0^i y1^j) by the rightmost rewriting loop over a dict of pending
+    words, with no memo: the oracle as it was before it was memoised."""
+    B = get_algebra(PODLES, field)
+    pending = {podles_word(i, j): field.one}
+    out = {}
+    while pending:
+        w, c = pending.popitem()
+        wi, wj = podles_index(w)
+        if wj == 0 or wi == 0 and wj > 0:
+            axpy(out, ((w, c),), field.is_zero)
+            continue
+        if wj < 0:
+            head = B.monomial(podles_word(wi, wj + 1))
+            step = (head * B.gen("y0")).scale(-field.one)
+        else:
+            head = B.monomial(podles_word(wi - 1, wj))
+            step = (head * B.gen("y-1")).scale(-field.q_power(2 * wj))
+        axpy(pending, step.terms.items(), field.is_zero, c)
+    return out
+
+
+@pytest.mark.parametrize("field", [SYMBOLIC, Q32], ids=["symbolic", "q=3/2"])
+def test_memoised_oracle_equals_the_pending_loop(field):
+    for i in range(13):
+        for j in range(-(12 - i), 12 - i + 1):
+            assert nu_reduce_oracle(i, j, field) == _pending_oracle(i, j, field), (i, j)
+
+
+def test_oracle_returns_a_copy_of_its_memo():
+    red = nu_reduce_oracle(2, 3)
+    red.clear()
+    assert nu_reduce_oracle(2, 3) == _pending_oracle(2, 3, SYMBOLIC)
+
+
+def test_oracle_never_calls_the_row_reduction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle reached the echelon")
+
+    field = NumericField("-5/7")    # a context of its own: an empty memo
+    get_algebra(PODLES, field)
+    monkeypatch.setattr(koszul, "nu_reduce", refuse)
+    monkeypatch.setattr(koszul, "_nu_echelon", refuse)
+    monkeypatch.setattr(koszul, "_nu_echelon_of", refuse)
+    assert nu_reduce_oracle(3, 4, field) == _pending_oracle(3, 4, field)
+
+
+def test_negative_i_is_refused():
+    # podles_word(-1, 0) is (), so a negative i would name another word
+    with pytest.raises(ValueError, match="i >= 0"):
+        nu_reduce_oracle(-3, 2)
+    with pytest.raises(ValueError, match="i >= 0"):
+        nu_closed_form(-1, -1)
+    with pytest.raises(ValueError, match="i >= 0"):
+        nu_closed_form(-2, 3, Q32)
+
+
+@pytest.mark.parametrize("field", [SYMBOLIC, Q32], ids=["symbolic", "q=3/2"])
+def test_nu_echelons_extend_the_level_below_like_a_fresh_build(field):
+    # a fresh build adds w*z-1 for every w in F_(L-1); the cached level L
+    # copies level L-1 and adds the words of length L-1
+    from qsphere.koszul import _nu_echelon, _nu_order
+    Bf = get_algebra(PODLES, field)
+    zm1 = KoszulComplex(field).zm1
+    fresh = Echelon(field, column_order=_nu_order)
+    words = filtration_basis(Bf, 12)
+    for L in range(13):
+        if L:
+            for w in words:
+                if len(w) == L - 1:
+                    fresh.add((Bf.monomial(w) * zm1).terms)
+        cached = _nu_echelon(field, L)
+        assert ([(p, list(r.items())) for p, r in cached.rows.items()]
+                == [(p, list(r.items())) for p, r in fresh.rows.items()]), L
 
 
 def test_residue_classes_linearly_independent():

@@ -1,7 +1,9 @@
 import random
 
+import pytest
+
 from qsphere.linalg import Echelon, axpy, determinant, nullspace, rank
-from qsphere.scalars import ONE, Q, SYMBOLIC, ZERO
+from qsphere.scalars import ONE, Q, SYMBOLIC, ZERO, NumericField
 
 
 def test_rank_and_containment():
@@ -67,3 +69,16 @@ def test_axpy_drops_cancelled_keys_and_keeps_insertion_order():
     axpy(out, [("c", ONE), ("e", Q)], zero, c=Q)
     assert out == {"c": Q + Q, "a": Q * Q, "e": Q * Q}
     assert axpy({}, [("x", ONE)], zero, c=ZERO) == {}
+
+
+@pytest.mark.parametrize("field", [SYMBOLIC, NumericField("3/2")],
+                         ids=["symbolic", "q=3/2"])
+def test_pivot_entry_is_the_fields_own_one(field):
+    q = field.q_power(1)
+    ech = Echelon(field)
+    for vec in ({0: q, 1: field.from_int(3)}, {0: q * q, 2: q + field.one},
+                {1: field.from_int(-2), 3: q}):
+        piv = ech.add(vec)
+        assert ech.rows[piv][piv] is field.one
+        # the other entries are divided by the pivot coefficient
+        assert ech.reduce(vec) == {}

@@ -10,7 +10,8 @@ from qsphere.hopf import Tensor, _cop_word, b_coproduct_word, left_coaction
 from qsphere.koszul import ext_counit_module, nu_reduce, nu_reduce_oracle
 from qsphere.linalg import Echelon
 from qsphere.ncalg import (PODLES, QSL2, Memo, filtration_basis,
-                           get_algebra, parse_expr, podles_word)
+                           get_algebra, parse_expr, podles_index,
+                           podles_word)
 from qsphere.scalars import (NumericField, QValue, RationalFunction, SYMBOLIC,
                              SymbolicField, specialize)
 
@@ -111,12 +112,13 @@ def test_symbolic_and_numeric_contexts_share_no_cache_entry():
         for w in filtration_basis(ctx.B, 2):
             b_coproduct_word(ctx.B, w)
             nu_reduce(ctx.B.monomial(w))
+            nu_reduce_oracle(*podles_index(w), field)
             carrier.ad_word(w, unit)
         owners = [("ctx", ctx)] + list(ctx.presets.items())
         memos[field] = {(name, attr): m for name, owner in owners
                         for attr, m in vars(owner).items()
                         if isinstance(m, Memo)}
-        assert len(memos[field]) == 4 * 3 + 6
+        assert len(memos[field]) == 4 * 3 + 7
         for key, memo in memos[field].items():
             assert memo or key == (PODLES, "_cop_cache")
             for value in memo.values():

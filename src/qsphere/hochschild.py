@@ -386,8 +386,8 @@ def h0_twisted_center(i, j, N, field=SYMBOLIC):
     A = get_algebra(QSL2, field)
     B = A.ctx.B
     cols = weight_basis_words(i, N)
-    # each generator embeds as one word g, c*g, and S^(2j)(c*g) = c'*g, so
-    # the k-th block of column w is c*(g*w) - c'*(w*g) from cached products
+    # each generator embeds as c*g for one word g, and S^(2j)(c*g) = c'*g,
+    # so the k-th block of column w is c*(g*w) - c'*(w*g), cached products
     twisted = []
     for name in ("y-1", "y0", "y1"):
         gen = embed_podles(B.gen(name))

@@ -104,8 +104,9 @@ def summarize(a, b, better="lower"):
 def verify_all(tree, mode):
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from qsphere.cli import main; "
-         "sys.exit(main())", "--seed", "42", "--no-timing", "verify-all",
-         *mode], cwd=tree, env=_env(tree), capture_output=True, text=True)
+         "sys.exit(main())", "--seed", "42", "--no-timing", *mode,
+         "verify-all"], cwd=tree, env=_env(tree), capture_output=True,
+        text=True)
     return proc.returncode, proc.stdout
 
 
@@ -116,6 +117,10 @@ def compare_bytes(trees):
     for mode in BYTES_MODES:
         (code_a, out_a), (code_b, out_b) = (verify_all(t, mode) for t in trees)
         name = " ".join(mode) or "symbolic"
+        if not out_a or not out_b:
+            same = False
+            print(f"verify-all {name}: no report (exit {code_a} vs {code_b})")
+            continue
         if (code_a, out_a) == (code_b, out_b):
             print(f"verify-all {name}: identical ({len(out_a)} bytes, "
                   f"exit {code_a})")

@@ -312,7 +312,7 @@ def test_nu_oracle_sign_on_y1_branch():
 
 def _pending_oracle(i, j, field):
     """nu(y0^i y1^j) by the rightmost rewriting loop over a dict of pending
-    words, with no memo: the oracle as it was before it was memoised."""
+    words, with no memo: the reference for the memoised nu_reduce_oracle."""
     B = get_algebra(PODLES, field)
     pending = {podles_word(i, j): field.one}
     out = {}
@@ -336,7 +336,8 @@ def _pending_oracle(i, j, field):
 def test_memoised_oracle_equals_the_pending_loop(field):
     for i in range(13):
         for j in range(-(12 - i), 12 - i + 1):
-            assert nu_reduce_oracle(i, j, field) == _pending_oracle(i, j, field), (i, j)
+            assert (nu_reduce_oracle(i, j, field)
+                    == _pending_oracle(i, j, field)), (i, j)
 
 
 def test_oracle_returns_a_copy_of_its_memo():

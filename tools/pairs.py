@@ -1,15 +1,15 @@
 """Alternating benchmark pairs between two revisions of this repository.
 
     python3 tools/pairs.py REV_A REV_B --workload W --pairs N
-                           [--seconds S] [--seed0 K] [--bytes]
+                           [--seed0 K] [--bytes]
 
 Both revisions are exported with `git archive` into a temporary directory,
 so only committed files are measured.  Pair k runs
 `perfbench/run.py --workload W --seed K+k --seconds S --trace 0` once on
-each side, one side after the other; side A goes first in even pairs and
-side B in odd ones.  Every run starts from an export with no __pycache__,
-as a fresh checkout does (a valid bytecode cache lowers peak_rss_mb by
-about 1 MB).
+each side, one side after the other, with S the run_seconds of side B's
+BENCHMARK.json; side A goes first in even pairs and side B in odd ones.
+Every run starts from an export with no __pycache__, as a fresh checkout
+does (a valid bytecode cache lowers peak_rss_mb by about 1 MB).
 
 For each end-to-end metric the output gives the median [Q1, Q3] of each
 side, the ratio B/A of the medians and the number of pairs in which B was
@@ -140,7 +140,6 @@ def main(argv=None):
     ap.add_argument("rev_b")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=40)
     ap.add_argument("--seed0", type=int, default=2101)
     ap.add_argument("--bytes", action="store_true")
     args = ap.parse_args(argv)
@@ -152,12 +151,13 @@ def main(argv=None):
         for side, rev in zip("AB", (args.rev_a, args.rev_b)):
             export(rev, trees[side])
         with open(trees["B"] / "BENCHMARK.json") as fh:
-            declared = json.load(fh)["end_to_end"]
+            benchmark = json.load(fh)
+        declared = benchmark["end_to_end"]
         runs = {"A": [], "B": []}
         for seed, order in schedule(args.pairs, args.seed0):
             for side in order:
                 runs[side].append(bench(trees[side], args.workload, seed,
-                                        args.seconds))
+                                        benchmark["run_seconds"]))
             print(f"seed {seed} ({order[0]} first): " + "  ".join(
                 f"{m['name']} {runs['A'][-1]['metrics'][m['name']]['value']:.4f}"
                 f" -> {runs['B'][-1]['metrics'][m['name']]['value']:.4f}"

@@ -17,7 +17,10 @@ twisted family omega(n, m) of duality).  The twisted coboundary and xi
 need the right A-action and are not defined on 'B'.  h0_twisted_center
 solves for the twisted centres of that family from rows read off cached
 products with single generator words: each sphere generator embeds as one
-word, which an even antipode power only rescales.
+word, which an even antipode power only rescales.  It poses the full
+system, block by generator; the y0 rows come first and are single entries,
+so they are presolved and pin most columns before the y-1 and y1 rows are
+built.
 
 character_action takes a torus character X_t (duality.Functional.char_A),
 which acts on basis words by weight, X_t.w = w_(1) X_t(w_(2)) = t^wt(w) w;
@@ -379,31 +382,30 @@ def h0_twisted_center(i, j, N, field=SYMBOLIC):
 
     The solver poses the full truncated system; it does not presuppose the
     reduction to the degree-0 part, which instead falls out of the
-    y0-equation.
+    y0-equation.  That block goes first: y0 w and w y0 are one word each,
+    so each y0 row is one entry, and `kernel` pins its column to zero
+    before it builds the y-1 and y1 rows of the columns left free.
     """
     if N < 2 * j + abs(i) + 2:
         raise ValueError(f"need N >= {2 * j + abs(i) + 2} for (i, j) = ({i}, {j})")
     A = get_algebra(QSL2, field)
     B = A.ctx.B
-    cols = weight_basis_words(i, N)
-    # each generator embeds as c*g for one word g, and S^(2j)(c*g) = c'*g,
-    # so the k-th block of column w is c*(g*w) - c'*(w*g), cached products
-    twisted = []
-    for name in ("y-1", "y0", "y1"):
-        gen = embed_podles(B.gen(name))
-        (g, c), = gen.terms.items()
-        twisted.append((g, c, -antipode(gen, 2 * j).terms[g]))
     mul, zero = A.mul_words, field.is_zero
 
-    def image(w):
-        vec = {}
-        for k, (g, c, minus_c2) in enumerate(twisted):
-            axpy(vec, (((k, v), x) for v, x in mul(g, w).items()), zero, c)
-            axpy(vec, (((k, v), x) for v, x in mul(w, g).items()), zero,
-                 minus_c2)
-        return vec
+    def block(k, name):
+        # the generator embeds as c*g for one word g, and S^(2j)(c*g) =
+        # c'*g, so the block of column w is c*(g*w) - c'*(w*g), keyed (k, v)
+        gen = embed_podles(B.gen(name))
+        (g, c), = gen.terms.items()
+        minus_c2 = -antipode(gen, 2 * j).terms[g]
+        return lambda w: axpy(
+            axpy({}, (((k, v), x) for v, x in mul(g, w).items()), zero, c),
+            (((k, v), x) for v, x in mul(w, g).items()), zero, minus_c2)
 
-    return [NCPoly(A, vec) for vec in kernel(field, cols, image)]
+    # y0 first: its rows are single entries, which pin most columns to zero
+    blocks = [block(k, name) for k, name in ((1, "y0"), (0, "y-1"), (2, "y1"))]
+    return [NCPoly(A, vec)
+            for vec in kernel(field, weight_basis_words(i, N), *blocks)]
 
 
 def h0_expected(i, j):

@@ -144,15 +144,32 @@ def nullspace(field, rows, columns):
     return basis
 
 
-def kernel(field, columns, image):
-    """Kernel basis of the map sending each column c to the sparse vector
-    image(c), by nullspace on the equation rows in order of first
-    appearance, each row listing its columns in the order of `columns`."""
-    rows = {}
-    for col in columns:
-        for key, c in image(col).items():
-            rows.setdefault(key, {})[col] = c
-    return nullspace(field, rows.values(), columns)
+def kernel(field, columns, *blocks):
+    """Kernel basis of the map sending each column c to the sparse vectors
+    image(c), one per block, by nullspace on the equation rows: block by
+    block, each in order of first appearance, each row listing its columns
+    in the order of `columns`.  A zero value is no entry.
+
+    After each block, a row with exactly one entry pins its column to zero,
+    and later blocks are evaluated on the unpinned columns only.  The output
+    is that of one block holding every row: nullspace returns the unique
+    basis with x_fc = 1 on one free column and 0 on the others under
+    column-order pivots, and a row that drops its entries in pinned columns
+    differs by multiples of unit rows, which are in the system.  So the row
+    space, the pivot set and every vector, keys in order, are unchanged.
+    Pinning goes by row: a row can collect entries from several columns.
+    """
+    rows, free, zero = [], columns, field.is_zero
+    for image in blocks:
+        block = {}
+        for col in free:
+            for key, c in image(col).items():
+                if not zero(c):
+                    block.setdefault(key, {})[col] = c
+        rows += block.values()
+        pinned = {col for row in block.values() if len(row) == 1 for col in row}
+        free = [col for col in free if col not in pinned]
+    return nullspace(field, rows, columns)
 
 
 def determinant(field, matrix):

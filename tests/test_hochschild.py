@@ -218,31 +218,57 @@ def test_h0_examples():
         h0_twisted_center(2, 1, 3)
 
 
+def _spy_h0_blocks(monkeypatch):
+    """Route h0_twisted_center's kernel call through a spy; returns the
+    list of (columns, blocks) of every call."""
+    from qsphere import hochschild
+    seen = []
+
+    def spy(field, cols, *blocks):
+        seen.append((cols, blocks))
+        return kernel(field, cols, *blocks)
+
+    monkeypatch.setattr(hochschild, "kernel", spy)
+    return seen
+
+
 @pytest.mark.parametrize("field", [SYMBOLIC, NumericField("3/2")],
                          ids=["symbolic", "q=3/2"])
 def test_h0_rows_equal_the_ncpoly_commutators(monkeypatch, field):
-    # every column's rows, keys in order, against g*p - p*S^(2j)(g) built
-    # from NCPoly products, on the default h0-grid
-    from qsphere import hochschild
+    # every block on every column, keys in order, against g*p - p*S^(2j)(g)
+    # built from NCPoly products, on the default h0-grid; the y0 block first
     Af = get_algebra(QSL2, field)
     gens = [embed_podles(Af.ctx.B.gen(g)) for g in ("y-1", "y0", "y1")]
-    seen = []
-
-    def spy(field, cols, image):
-        seen.append((cols, image))
-        return kernel(field, cols, image)
-
-    monkeypatch.setattr(hochschild, "kernel", spy)
+    seen = _spy_h0_blocks(monkeypatch)
     for j in range(4):
         twisted = [(g, antipode(g, 2 * j)) for g in gens]
         for i in range(-6, 7):
             h0_twisted_center(i, j, 2 * j + abs(i) + 2, field)
-            cols, image = seen.pop()
-            for w in cols:
-                p = Af.monomial(w)
-                old = {(k, iw): c for k, (g, sg) in enumerate(twisted)
-                       for iw, c in (g * p - p * sg).terms.items()}
-                assert list(image(w).items()) == list(old.items()), (i, j, w)
+            cols, blocks = seen.pop()
+            assert len(blocks) == 3
+            for k, image in zip((1, 0, 2), blocks):
+                g, sg = twisted[k]
+                for w in cols:
+                    p = Af.monomial(w)
+                    old = {(k, iw): c for iw, c in (g * p - p * sg).terms.items()}
+                    assert list(image(w).items()) == list(old.items()), (i, j, k, w)
+
+
+@pytest.mark.parametrize("field", [SYMBOLIC, NumericField("3/2")],
+                         ids=["symbolic", "q=3/2"])
+@pytest.mark.parametrize("imax, jmax", [(6, 3), (8, 5)])
+def test_h0_vectors_equal_the_single_block_kernel(monkeypatch, field, imax,
+                                                  jmax):
+    # the presolve changes no vector: the kernel of all rows in one block,
+    # ordered by generator as before, gives the same ones, keys in order
+    seen = _spy_h0_blocks(monkeypatch)
+    for j in range(jmax + 1):
+        for i in range(-imax, imax + 1):
+            sols = h0_twisted_center(i, j, 2 * j + abs(i) + 2, field)
+            cols, (y0, ym1, y1) = seen.pop()
+            whole = kernel(field, cols, lambda w: {**ym1(w), **y0(w), **y1(w)})
+            assert [list(p.terms.items()) for p in sols] == [
+                list(v.items()) for v in whole], (i, j)
 
 
 def test_h0_center_is_constants():

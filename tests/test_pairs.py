@@ -47,3 +47,39 @@ def test_clear_bytecode_removes_every_cache(tmp_path):
     pairs.clear_bytecode(tmp_path)
     assert not list(tmp_path.rglob("__pycache__"))
     assert (tmp_path / "src/pkg/m.py").is_file()
+
+
+def test_a_run_that_is_not_correct_fails_the_comparison():
+    # a failed set-up pass reports correct false with no failed check
+    good = {"correct": True, "failed": 0}
+    runs = {"A": [good, good], "B": [good, {"correct": False, "failed": 0}]}
+    counts = pairs.tally(runs)
+    assert counts == {"failed": {"A": 0, "B": 0},
+                      "incorrect": {"A": 0, "B": 1}}
+    assert pairs.exit_status(counts, same=True) == 1
+    clean = pairs.tally({"A": [good], "B": [good]})
+    assert pairs.exit_status(clean, same=True) == 0
+    assert pairs.exit_status(clean, same=False) == 1
+    failed = pairs.tally({"A": [{"correct": False, "failed": 2}], "B": [good]})
+    assert failed["failed"] == {"A": 2, "B": 0}
+    assert pairs.exit_status(failed, same=True) == 1
+
+
+def test_setup_passes_alternate_the_first_side_and_are_summarized():
+    calls = []
+    times = {"A": iter([0.150, 0.140, 0.160, 0.155]),
+             "B": iter([0.145, 0.150, 0.130, 0.150])}
+
+    def measure(side):
+        calls.append(side)
+        return next(times[side])
+
+    values = pairs.alternate(4, measure)
+    assert "".join(calls) == "ABBAABBA"
+    assert values == {"A": [0.150, 0.140, 0.160, 0.155],
+                      "B": [0.145, 0.150, 0.130, 0.150]}
+    s = pairs.summarize(values["A"], values["B"])
+    assert (s["B_won"], s["pairs"]) == (3, 4)
+    assert s["ratio"] == pytest.approx(0.1475 / 0.1525)
+    line = pairs.metric_line("setup direct", s)
+    assert "B better in 3/4" in line and "B/A 0.967" in line

@@ -1,7 +1,7 @@
 """Alternating benchmark pairs between two revisions of this repository.
 
-    python3 tools/pairs.py REV_A REV_B --workload W --pairs N
-                           [--seed0 K] [--bytes]
+    python3 tools/pairs.py REV_A REV_B --workload W [--pairs N]
+                           [--seed0 K] [--setup M] [--bytes]
 
 Both revisions are exported with `git archive` into a temporary directory,
 so only committed files are measured.  Pair k runs
@@ -13,8 +13,17 @@ does (a valid bytecode cache lowers peak_rss_mb by about 1 MB).
 
 For each end-to-end metric the output gives the median [Q1, Q3] of each
 side, the ratio B/A of the medians and the number of pairs in which B was
-better, and the failed checks of each side.  The last line is the same
+better, and per side the failed checks and the runs that did not report
+`correct` (a failed set-up pass counts there, not as a failed check).  The
+exit status is 1 when any of them is nonzero.  The last line is the same
 summary as JSON.
+
+--setup M also alternates M pairs of `perfbench/worker.py --mode setup`
+passes directly on the two exports, after one untimed pass per side that
+compiles the bytecode, and gives the same statistics for their CPU seconds
+(user + system).  setup_s samples a perfbench run in two bursts per round,
+so it follows the host's drift and cannot resolve a change of under about
+10 % in 10 pairs; the direct alternation can.
 
 --bytes also compares `qsphere --seed 42 --no-timing verify-all` at full
 trials, symbolic and at --q 3/2, between the two exports.
@@ -27,6 +36,7 @@ import difflib
 import io
 import json
 import os
+import resource
 import shutil
 import statistics
 import subprocess
@@ -82,6 +92,32 @@ def bench(tree, workload, seed, seconds):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def setup_time(tree, spec):
+    """CPU seconds (user + system) of one `worker.py --mode setup` pass:
+    a fresh interpreter that imports qsphere and builds spec's presets."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/worker.py", "--spec", json.dumps(spec),
+         "--seed", "0", "--mode", "setup"],
+        cwd=tree, env=dict(_env(tree), PYTHONHASHSEED="0"),
+        capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise RuntimeError(f"setup pass exited with code {proc.returncode} in {tree}")
+    return (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+
+
+def alternate(pairs, measure):
+    """{side: [measure(side) per pair]}, the first side alternating as in
+    schedule."""
+    values = {"A": [], "B": []}
+    for _, order in schedule(pairs, 0):
+        for side in order:
+            values[side].append(measure(side))
+    return values
+
+
 def quartiles(values):
     """(median, Q1, Q3), with inclusive quartiles."""
     if len(values) == 1:
@@ -99,6 +135,26 @@ def summarize(a, b, better="lower"):
     return {"A": med_a, "B": med_b,
             "ratio": med_b[0] / med_a[0] if med_a[0] else float("nan"),
             "B_won": wins, "pairs": len(a)}
+
+
+def tally(runs):
+    """Failed checks and runs not `correct`, per side."""
+    return {"failed": {side: sum(r["failed"] for r in rs)
+                       for side, rs in runs.items()},
+            "incorrect": {side: sum(not r["correct"] for r in rs)
+                          for side, rs in runs.items()}}
+
+
+def exit_status(counts, same):
+    """1 when the bytes differ or a run failed a check or was not correct."""
+    return 0 if same and not any(n for c in counts.values()
+                                 for n in c.values()) else 1
+
+
+def metric_line(name, s):
+    return (f"{name:<12} A {s['A'][0]:.4f} [{s['A'][1]:.4f}, {s['A'][2]:.4f}]"
+            f"  B {s['B'][0]:.4f} [{s['B'][1]:.4f}, {s['B'][2]:.4f}]"
+            f"  B/A {s['ratio']:.3f}  B better in {s['B_won']}/{s['pairs']}")
 
 
 def verify_all(tree, mode):
@@ -139,12 +195,13 @@ def main(argv=None):
     ap.add_argument("rev_a")
     ap.add_argument("rev_b")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--pairs", type=int, default=0)
     ap.add_argument("--seed0", type=int, default=2101)
+    ap.add_argument("--setup", type=int, default=0)
     ap.add_argument("--bytes", action="store_true")
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be >= 1")
+    if args.pairs < 0 or args.setup < 0 or not args.pairs + args.setup:
+        ap.error("--pairs and --setup must be >= 0, and one of them >= 1")
 
     with tempfile.TemporaryDirectory(prefix="qsphere-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in "AB"}
@@ -162,23 +219,36 @@ def main(argv=None):
                 f"{m['name']} {runs['A'][-1]['metrics'][m['name']]['value']:.4f}"
                 f" -> {runs['B'][-1]['metrics'][m['name']]['value']:.4f}"
                 for m in declared), flush=True)
+        setup = {}
+        if args.setup:
+            specs = {}
+            for side, tree in trees.items():
+                clear_bytecode(tree)
+                with open(tree / "perfbench" / "workloads.json") as fh:
+                    specs[side] = json.load(fh)["workloads"][args.workload]
+                setup_time(tree, specs[side])  # compiles the bytecode
+            setup = alternate(args.setup,
+                              lambda side: setup_time(trees[side], specs[side]))
         same = compare_bytes([trees["A"], trees["B"]]) if args.bytes else True
 
+    counts = tally(runs)
     summary = {"workload": args.workload, "A": args.rev_a, "B": args.rev_b,
-               "seeds": [args.seed0, args.seed0 + args.pairs - 1],
-               "failed": {side: sum(r["failed"] for r in runs[side])
-                          for side in "AB"}, "metrics": {}}
-    for m in declared:
+               "seeds": [args.seed0, args.seed0 + args.pairs - 1][:args.pairs],
+               **counts, "metrics": {}}
+    for m in declared if args.pairs else ():
         name = m["name"]
         s = summary["metrics"][name] = summarize(
             *([r["metrics"][name]["value"] for r in runs[side]] for side in "AB"),
             better=m["better"])
-        print(f"{name:<12} A {s['A'][0]:.4f} [{s['A'][1]:.4f}, {s['A'][2]:.4f}]"
-              f"  B {s['B'][0]:.4f} [{s['B'][1]:.4f}, {s['B'][2]:.4f}]"
-              f"  B/A {s['ratio']:.3f}  B better in {s['B_won']}/{s['pairs']}")
-    print(f"failed checks: A {summary['failed']['A']}, B {summary['failed']['B']}")
+        print(metric_line(name, s))
+    if setup:
+        s = summary["setup_direct"] = summarize(setup["A"], setup["B"])
+        print(metric_line("setup direct", s))
+    print(f"failed checks: A {summary['failed']['A']}, B {summary['failed']['B']};"
+          f" runs not correct: A {summary['incorrect']['A']},"
+          f" B {summary['incorrect']['B']}")
     print(json.dumps(summary))
-    return 0 if same and not any(summary["failed"].values()) else 1
+    return exit_status(counts, same)
 
 
 if __name__ == "__main__":

@@ -402,7 +402,6 @@ def h0_twisted_center(i, j, N, field=SYMBOLIC):
             axpy({}, (((k, v), x) for v, x in mul(g, w).items()), zero, c),
             (((k, v), x) for v, x in mul(w, g).items()), zero, minus_c2)
 
-    # y0 first: its rows are single entries, which pin most columns to zero
     blocks = [block(k, name) for k, name in ((1, "y0"), (0, "y-1"), (2, "y1"))]
     return [NCPoly(A, vec)
             for vec in kernel(field, weight_basis_words(i, N), *blocks)]

@@ -233,7 +233,8 @@ def main(argv=None):
 
     counts = tally(runs)
     summary = {"workload": args.workload, "A": args.rev_a, "B": args.rev_b,
-               "seeds": [args.seed0, args.seed0 + args.pairs - 1][:args.pairs],
+               "seeds": ([args.seed0, args.seed0 + args.pairs - 1]
+                         if args.pairs else []),
                **counts, "metrics": {}}
     for m in declared if args.pairs else ():
         name = m["name"]

@@ -23,7 +23,7 @@ from .hopf import (Tensor, antipode, b_coproduct_word, contract_left, counit,
 from .hochschild import (Bimodule, sigma_map, validate_character_b,
                          weight_basis_words)
 from .linalg import Echelon
-from .ncalg import (LAURENT, PODLES, QSL2, NCPoly, embed_podles,
+from .ncalg import (LAURENT, PODLES, QSL2, Memo, NCPoly, embed_podles,
                     express_in_podles, filtration_basis, get_algebra,
                     laurent_word, podles_index, qsl2_index)
 from .scalars import SYMBOLIC
@@ -117,10 +117,10 @@ def omega_product_check(n, m, i, j, N, field=SYMBOLIC):
 
 class Functional:
     """A linear functional on the preset `alg`: a value function on basis
-    words, memoised per word in `table` and extended linearly by __call__
-    to elements of `alg` only (not of another preset or field).
+    words, memoised per word in the Memo `table` and extended linearly by
+    __call__ to elements of `alg` only (not of another preset or field).
 
-    A sparse functional is a table filled in advance whose value function
+    A sparse functional is a table seeded in advance whose value function
     returns zero.  A torus character keeps its parameter in `t` (None
     otherwise) for compose_S and the character action on cochains.  The
     memo lives and dies with the object.
@@ -128,8 +128,7 @@ class Functional:
 
     def __init__(self, alg, value, table=None, t=None):
         self.alg = alg
-        self.value = value
-        self.table = {} if table is None else table
+        self.table = Memo(value, table or ())
         self.t = t
 
     # -- constructors --------------------------------------------------------
@@ -171,7 +170,7 @@ class Functional:
     def sparse(alg_id, table, field=SYMBOLIC):
         """Explicit values on basis words, zero elsewhere."""
         alg = get_algebra(alg_id, field)
-        return Functional(alg, lambda w: alg.field.zero, dict(table))
+        return Functional(alg, lambda w: alg.field.zero, table)
 
     @staticmethod
     def gamma(chi=None, field=SYMBOLIC):
@@ -184,11 +183,7 @@ class Functional:
     # -- evaluation ----------------------------------------------------------
 
     def on_word(self, w):
-        # a plain dict, not a Memo: through one cochain-sym ran 3-12 % slower
-        v = self.table.get(w)
-        if v is None:
-            v = self.table[w] = self.value(w)
-        return v
+        return self.table[w]
 
     def __call__(self, p):
         if p.alg is not self.alg:
@@ -198,7 +193,9 @@ class Functional:
         out = field.zero
         for w, c in p.terms.items():
             v = self.on_word(w)
-            # skip zero values: sigma-q ran 17 % slower without the skips
+            # skip zero values: without this skip alone, sigma-q's peak RSS
+            # rose 27.75 -> 27.95 MB in 40 of 40 alternating pairs (a QValue
+            # sum carries the larger D^s), CPU 1.02 (slower in 23 of 40)
             if not field.is_zero(v):
                 out = out + c * v
         return out

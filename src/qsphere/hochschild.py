@@ -36,9 +36,9 @@ import itertools
 from .hopf import (Tensor, _cop_word, antipode, b_coproduct_grouped,
                    b_coproduct_word, contract_left, leg_product)
 from .linalg import axpy, kernel
-from .ncalg import (PODLES, QSL2, NCPoly, embed_podles, express_in_podles,
-                    filtration_basis, get_algebra, podles_index, qsl2_index,
-                    qsl2_word)
+from .ncalg import (PODLES, QSL2, Memo, NCPoly, embed_podles,
+                    express_in_podles, filtration_basis, get_algebra,
+                    podles_index, qsl2_index, qsl2_word)
 from .scalars import SYMBOLIC
 
 
@@ -144,17 +144,10 @@ class LazyCochain:
     def __init__(self, degree, carrier, fn):
         self.degree = degree
         self.carrier = carrier
-        self.fn = fn
-        self._memo = {}
+        self._memo = Memo(fn)
 
     def eval_words(self, words):
-        words = tuple(words)
-        # a plain dict, not a Memo: through one cochain-sym ran 3-12 % slower
-        v = self._memo.get(words)
-        if v is None:
-            v = self.fn(words)
-            self._memo[words] = v
-        return v
+        return self._memo[tuple(words)]
 
 
 def eval_cochain(phi, args):
@@ -183,9 +176,7 @@ def eval_multi(phi, slots):
         for (pos, _), (w, c) in zip(expand, combo):
             args[pos] = w
             coeff = c if coeff is None else coeff * c
-        val = phi.eval_words(tuple(args))
-        if not phi.carrier.is_zero(val):
-            out = out + val.scale(coeff)
+        out = out + phi.eval_words(tuple(args)).scale(coeff)
     return out
 
 

@@ -82,6 +82,9 @@ class Echelon:
             piv = min(r, key=self.order)
         else:
             piv = min(r, key=_generic_key)
+        # the pivot entry is the field's one, not c/c: dividing it too made
+        # resolution-sym passes take 1.190 times the CPU (median of 12
+        # alternating pairs' ratios, slower in 12 of 12)
         c, one = r[piv], self.field.one
         row = {col: v / c if col is not piv else one for col, v in r.items()}
         self.rows[piv] = row

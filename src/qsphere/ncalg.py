@@ -35,7 +35,7 @@ import re
 from functools import partial
 
 from .linalg import axpy
-from .scalars import SYMBOLIC, q_bracket
+from .scalars import SYMBOLIC, q_bracket, signed_join
 
 QSL2 = "QSL2"
 PODLES = "PODLES"
@@ -249,8 +249,6 @@ class NCPoly:
         return max((len(w) for w in self.terms), default=0)
 
     def render(self):
-        if not self.terms:
-            return "0"
         field = self.alg.field
         parts = []
         for word in sorted(self.terms, key=self.alg.sort_key, reverse=True):
@@ -269,11 +267,7 @@ class NCPoly:
                     cs = f"({cs})"
                 body = f"{cs}*{ms}"
             parts.append(("-" if neg else "+", body))
-        sign, body = parts[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return signed_join(parts)
 
     def __repr__(self):
         return f"NCPoly[{self.alg.id}]({self.render()})"
@@ -308,10 +302,13 @@ class Context:
       ctx.q_power          e -> q^e, seeded with q^0 = the field's one
       ctx.gauss_row        k -> Gaussian binomials [k r] in q^2, r = 0..k
 
-    q_power[0] and the end entries of gauss_row are the field's own one,
-    which hopf.leg_product's skips rely on; so is every coefficient equal
-    to one that q_scale returns (the antipode, the sphere coproduct and
-    the embedding scale by it).
+    hopf.leg_product skips multiplications by the field's own one object,
+    so the places that build a one hand on that object: q_power[0], the
+    end entries of each gauss_row, the generators' Sweedler terms (hopf),
+    _qsl2_product, which passes those on unmultiplied, and Echelon's pivot
+    entries.  q_scale returns c * q^e as computed, even when it equals one:
+    comparing every scaled coefficient with one cost more than the skips
+    it fed.
     """
 
     def __init__(self, field):
@@ -359,13 +356,8 @@ class Context:
             lambda k: [q_bracket(k, r, field) for r in range(k + 1)])
 
     def q_scale(self, c, e):
-        """c * q^e, with c itself at e = 0 and a product equal to one
-        returned as the field's own one (a fresh c * q^e never is)."""
-        if not e:
-            return c
-        v = c * self.q_power[e]
-        one = self.field.one
-        return one if v == one else v
+        """c * q^e, with c itself at e = 0."""
+        return c * self.q_power[e] if e else c
 
 
 _CONTEXTS = Memo(Context)
@@ -546,7 +538,9 @@ def _qsl2_product(ctx, words):
     out = {}
     for r in range(k, -1, -1):
         c, g = qp[e + r * r + shift * r], row[r]
-        # an unmultiplied one keeps its identity for leg_product's skips
+        # an unmultiplied one keeps its identity for leg_product's skips:
+        # multiplying it raised sigma-q's peak RSS 27.72 -> 28.56 MB in 12
+        # of 12 alternating pairs, CPU 1.029 (slower in 9)
         out[qsl2_word(l, m + r, n + r)] = (
             c if g is one else g if c is one else c * g)
     return out
@@ -675,22 +669,17 @@ def _tokenize(text, alg):
 
 
 def _parse_sum(tokens, pos, alg):
-    sign = 1
-    while pos < len(tokens) and tokens[pos][0] in "+-":
-        if tokens[pos][0] == "-":
-            sign = -sign
-        pos += 1
-    acc, pos = _parse_product(tokens, pos, alg)
-    if sign < 0:
-        acc = -acc
-    while pos < len(tokens) and tokens[pos][0] in "+-":
+    # a run of signs before each term; the first term's may be empty
+    acc = None
+    while acc is None or pos < len(tokens) and tokens[pos][0] in "+-":
         sign = 1
         while pos < len(tokens) and tokens[pos][0] in "+-":
             if tokens[pos][0] == "-":
                 sign = -sign
             pos += 1
         term, pos = _parse_product(tokens, pos, alg)
-        acc = acc + (term if sign > 0 else -term)
+        term = term if sign > 0 else -term
+        acc = term if acc is None else acc + term
     return acc, pos
 
 

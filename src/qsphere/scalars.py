@@ -148,13 +148,17 @@ def _pterms(a, shift=0):
         else:
             body = f"{abs(c)}*q" if k == 1 else f"{abs(c)}*q^{k}"
         parts.append(("-" if c < 0 else "+", body))
+    return signed_join(parts)
+
+
+def signed_join(parts):
+    """(sign, body) pairs as "a - b + c", the first sign shown only when
+    it is "-"; "0" for no pairs."""
     if not parts:
         return "0"
-    sign, body = parts[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+    (sign, body), rest = parts[0], parts[1:]
+    return ("-" if sign == "-" else "") + body + "".join(
+        f" {sign} {body}" for sign, body in rest)
 
 
 # ---------------------------------------------------------------------------

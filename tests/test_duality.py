@@ -222,6 +222,24 @@ def test_gamma_memo_matches_gamma_functional(field, monkeypatch):
 
 
 @FIELDS
+def test_sparse_functional_answers_its_seeded_words_from_the_table(field):
+    Af = get_algebra(QSL2, field)
+    seeded = {qsl2_word(1, 0, 0): field.q_power(2),
+              qsl2_word(0, 1, 1): field.from_int(-3)}
+    f = Functional.sparse(QSL2, seeded, field)
+    asked = []
+    zero = f.table.fn
+    f.table.fn = lambda w: asked.append(w) or zero(w)
+    for w, c in seeded.items():
+        assert f.on_word(w) is c
+    assert f(Af.gen("a") * Af.gen("a") + Af.gen("b") * Af.gen("c")) \
+        == field.from_int(-3)
+    assert asked == [qsl2_word(2, 0, 0)]
+    # the seed is copied: the caller's dict gains no word
+    assert set(seeded) == {qsl2_word(1, 0, 0), qsl2_word(0, 1, 1)}
+
+
+@FIELDS
 def test_sigma_inverse_check_both_fields(field):
     assert sigma_inverse_check(3, field) == {
         "N": 3, "ray_failures": [], "roundtrip_failures": [], "pass": True}

@@ -154,13 +154,28 @@ def test_character_action_needs_a_torus_character():
             character_action(X, phi)
 
 
+def test_lazy_cochain_calls_its_formula_once_per_argument_tuple():
+    calls = []
+
+    def fn(ws):
+        calls.append(ws)
+        return MB.zero() + B.monomial(ws[0]) * B.monomial(ws[1])
+
+    phi = LazyCochain(2, MB, fn)
+    window = argument_window(2, 1)
+    first = [phi.eval_words(ws) for ws in window]
+    again = [phi.eval_words(list(ws)) for ws in reversed(window)]
+    assert calls == [tuple(ws) for ws in window]
+    assert all(a is b for a, b in zip(first, reversed(again)))
+
+
 def test_character_value_computed_once_per_word(monkeypatch):
     # the value function (one qsl2_index and one power of t) runs once
     # per word, however often the action asks for that word
     X = Functional.char_A(Q * Q)
     calls = []
-    value = X.value
-    monkeypatch.setattr(X, "value", lambda w: calls.append(w) or value(w))
+    value = X.table.fn
+    monkeypatch.setattr(X.table, "fn", lambda w: calls.append(w) or value(w))
     phi = random_cochain(random.Random(61), 1, MT, support=2, entries=3)
     acted = character_action(X, hochschild_b(phi))
     for ws in argument_window(2, 1):

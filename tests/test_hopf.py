@@ -9,6 +9,7 @@ from qsphere.hopf import (Tensor, antipode, b_coproduct, b_coproduct_grouped,
                           contract_left, coproduct, counit, left_coaction,
                           project_pi, rho, rho_check, _COP_GEN, _coact_word,
                           _cop_word)
+from qsphere.linalg import Echelon
 from qsphere.ncalg import (LAURENT, PODLES, QSL2, SMASH_Z2, Context, NCPoly,
                            embed_podles, express_in_podles, filtration_basis,
                            get_algebra, podles_index, qsl2_word, _embed_word)
@@ -110,23 +111,31 @@ def test_coaction_oracle_catches_a_wrong_generator_image(monkeypatch):
 
 @FIELDS
 def test_one_valued_coefficients_are_the_fields_one(field):
-    # leg_product skips multiplications by the one object, so a coefficient
-    # equal to one must be it
-    A_, B_ = get_algebra(QSL2, field), get_algebra(PODLES, field)
+    # leg_product skips multiplications by the one object, and the places
+    # that build a one hand on the field's own: q_power[0], the ends of
+    # each Gaussian row, the generators' Sweedler terms, the closed-form
+    # QSL2 products that pass those on unmultiplied, and Echelon's pivots
+    A_ = get_algebra(QSL2, field)
+    ctx, one = A_.ctx, A_.field.one   # equal fields share one Context
+    assert ctx.q_power[0] is one
+    for k in range(6):
+        assert ctx.gauss_row[k][0] is one and ctx.gauss_row[k][k] is one
     coeffs = []
-    for w in filtration_basis(B_, 4):
-        coeffs += b_coproduct_word(B_, w).values()
-        e = B_.monomial(w)
-        for p in (embed_podles(e), express_in_podles(embed_podles(e)),
-                  antipode(e, 2), antipode(e, -2)):
-            coeffs += p.terms.values()
-    for w in filtration_basis(A_, 4):
-        for power in (-2, -1, 1, 2, 3):
-            coeffs += antipode(A_.monomial(w), power).terms.values()
-    one = A_.field.one    # equal fields share one Context and its field
+    for g in range(4):
+        coeffs += _cop_word(A_, (g,)).values()
+        coeffs += _coact_word(A_, (g,)).values()
+    words = filtration_basis(A_, 3)
+    for w1 in words:
+        for w2 in words:
+            coeffs += A_.mul_words(w1, w2).values()
     ones = [c for c in coeffs if c == one]
     assert len(ones) > 100
     assert all(c is one for c in ones)
+    echelon = Echelon(A_.field)
+    for vec in ({"x": field.from_int(3), "y": one},
+                {"y": ctx.q_power[2], "z": field.from_int(-2)}):
+        piv = echelon.add(vec)
+        assert echelon.rows[piv][piv] is one
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,26 @@ def test_parse_expr():
         parse_expr("a^-1", A)
 
 
+@pytest.mark.parametrize("text, terms", [
+    ("--y0", [((0,), ONE)]),
+    ("y0 - -y1", [((0,), ONE), ((1,), ONE)]),
+    ("-(y1) + +y0", [((1,), -ONE), ((0,), ONE)]),
+    ("- - -y0 + - y1 - + -q*y-1", [((0,), -ONE), ((1,), -ONE), ((2,), Q)]),
+    ("-(-y0 - y1) - -(y1)", [((0,), ONE), ((1,), 2 * ONE)]),
+    ("(--y1)*(-y0)", [((0, 1), -Q ** -2)]),
+])
+def test_parse_expr_sign_runs(text, terms):
+    # every run of signs before a term folds to one sign; the terms and
+    # their order are those of the two-loop parser this replaced
+    assert list(parse_expr(text, B).terms.items()) == terms
+
+
+@pytest.mark.parametrize("text", ["y0 -", "-", "+ -", ""])
+def test_parse_expr_sign_run_needs_a_term(text):
+    with pytest.raises(ValueError, match="unexpected end"):
+        parse_expr(text, B)
+
+
 def test_render_matches_grammar():
     p = (B.gen("y0") ** 2).scale(Q ** -2) + B.gen("y0").scale(Q ** -1)
     assert p.render() == "q^-2*y0^2 + q^-1*y0"

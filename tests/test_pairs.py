@@ -1,6 +1,7 @@
 """The summary statistics and the run order of tools/pairs.py."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -24,12 +25,25 @@ def test_summary_counts_pairs_won_in_the_better_direction():
     assert s["A"] == (3.0, 2.0, 4.0)
     assert s["B"] == (2.0, 1.0, 2.5)
     assert s["ratio"] == pytest.approx(2.0 / 3.0)
+    assert s["pair_ratio"] == pytest.approx(0.5)   # of 0.5, 1.25, 1/3, 1, 0.4
     assert (s["B_won"], s["pairs"]) == (3, 5)
     assert pairs.summarize(a, b, "higher")["B_won"] == 1
     with pytest.raises(ValueError):
         pairs.summarize(a, b[:4])
     with pytest.raises(ValueError):
         pairs.summarize([], [])
+
+
+def test_pair_ratio_follows_the_pairs_when_the_host_changes_pace():
+    # the host speeds up after two pairs: B is slower in four pairs of five,
+    # but A's median falls in the slow phase and B's in the fast one
+    a, b = [1.0, 1.0, 2.0, 2.0, 2.0], [1.1, 1.1, 1.1, 2.1, 2.1]
+    s = pairs.summarize(a, b)
+    assert s["ratio"] == pytest.approx(1.1 / 2.0)     # B reads 45 % lower
+    assert s["pair_ratio"] == pytest.approx(1.05)     # 1.1, 1.1, 0.55, 1.05, 1.05
+    assert s["B_won"] == 1
+    assert "B/A 0.550 (per pair 1.050)" in pairs.metric_line("run_s", s)
+    assert math.isnan(pairs.summarize([0.0, 1.0], [1.0, 1.0])["pair_ratio"])
 
 
 def test_schedule_gives_each_pair_its_own_seed_and_alternates_the_first_side():

@@ -6,7 +6,7 @@ import pytest
 
 from qsphere.scalars import (ONE, Q, ZERO, NumericField, RationalFunction,
                              SYMBOLIC, arith, q_bracket, q_int_bracket,
-                             specialize)
+                             signed_join, specialize)
 
 
 def rf(num, den=(1,)):
@@ -103,6 +103,14 @@ def test_q_bracket_coefficients_nonnegative():
             assert v.den == (1,)
             assert all(c >= 0 for c in v.num)
             assert all(c == 0 for i, c in enumerate(v.num) if i % 2 == 1)
+
+
+def test_signed_join_shows_a_leading_minus_only():
+    # the one join behind RationalFunction.render and NCPoly.render
+    assert signed_join([]) == "0"
+    assert signed_join([("+", "q")]) == "q"
+    assert signed_join([("-", "2*q"), ("+", "1"), ("-", "y0")]) == \
+        "-2*q + 1 - y0"
 
 
 def test_render_roundtrip_styles():

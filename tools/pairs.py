@@ -12,11 +12,13 @@ Every run starts from an export with no __pycache__, as a fresh checkout
 does (a valid bytecode cache lowers peak_rss_mb by about 1 MB).
 
 For each end-to-end metric the output gives the median [Q1, Q3] of each
-side, the ratio B/A of the medians and the number of pairs in which B was
-better, and per side the failed checks and the runs that did not report
-`correct` (a failed set-up pass counts there, not as a failed check).  The
-exit status is 1 when any of them is nonzero.  The last line is the same
-summary as JSON.
+side, the ratio B/A of the medians, the median of the per-pair ratios B/A
+(`pair_ratio`: a fast or slow phase of the host moves the ratio of
+medians, while each pair's ratio compares two runs made one after the
+other) and the number of pairs in which B was better, and per side the
+failed checks and the runs that did not report `correct` (a failed set-up
+pass counts there, not as a failed check).  The exit status is 1 when any
+of them is nonzero.  The last line is the same summary as JSON.
 
 --setup M also alternates M pairs of `perfbench/worker.py --mode setup`
 passes directly on the two exports, after one untimed pass per side that
@@ -134,6 +136,8 @@ def summarize(a, b, better="lower"):
     med_a, med_b = quartiles(a), quartiles(b)
     return {"A": med_a, "B": med_b,
             "ratio": med_b[0] / med_a[0] if med_a[0] else float("nan"),
+            "pair_ratio": (statistics.median(y / x for x, y in zip(a, b))
+                           if all(a) else float("nan")),
             "B_won": wins, "pairs": len(a)}
 
 
@@ -154,7 +158,8 @@ def exit_status(counts, same):
 def metric_line(name, s):
     return (f"{name:<12} A {s['A'][0]:.4f} [{s['A'][1]:.4f}, {s['A'][2]:.4f}]"
             f"  B {s['B'][0]:.4f} [{s['B'][1]:.4f}, {s['B'][2]:.4f}]"
-            f"  B/A {s['ratio']:.3f}  B better in {s['B_won']}/{s['pairs']}")
+            f"  B/A {s['ratio']:.3f} (per pair {s['pair_ratio']:.3f})"
+            f"  B better in {s['B_won']}/{s['pairs']}")
 
 
 def verify_all(tree, mode):

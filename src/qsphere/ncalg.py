@@ -669,7 +669,7 @@ def _tokenize(text, alg):
 
 
 def _parse_sum(tokens, pos, alg):
-    # a run of signs before each term; the first term's may be empty
+    # each term follows a run of signs, which only the first may lack
     acc = None
     while acc is None or pos < len(tokens) and tokens[pos][0] in "+-":
         sign = 1

@@ -159,39 +159,51 @@ def eval_cochain(phi, args):
 def eval_multi(phi, slots):
     """Evaluate phi at a tuple of slots, each a basis word or a sparse
     combination {word: coeff}, expanding multilinearly."""
-    fixed = []
-    expand = []
-    for pos, s in enumerate(slots):
-        if isinstance(s, dict):
-            expand.append((pos, s))
-            fixed.append(None)
-        else:
-            fixed.append(s)
-    if not expand:
-        return phi.eval_words(tuple(fixed))
+    if not any(isinstance(s, dict) for s in slots):
+        return phi.eval_words(tuple(slots))
     out = phi.carrier.zero()
-    for combo in itertools.product(*[list(s.items()) for _, s in expand]):
-        coeff = None
-        args = list(fixed)
-        for (pos, _), (w, c) in zip(expand, combo):
-            args[pos] = w
-            coeff = c if coeff is None else coeff * c
-        out = out + phi.eval_words(tuple(args)).scale(coeff)
+    _add_multi(out.terms, phi, slots)
     return out
 
 
-def _add_inner_faces(phi, ws, val):
-    """val + sum_{i=1..n} (-1)^i phi(b^1, ..., b^i b^(i+1), ..., b^(n+1)),
-    the faces both coboundaries share, added in order of i."""
-    M = phi.carrier
-    sign = 1
-    for i in range(1, phi.degree + 1):
-        sign = -sign
-        merged = M.B.mul_words(ws[i - 1], ws[i])
-        sub = eval_multi(phi, ws[:i - 1] + (merged,) + ws[i + 1:])
-        val = val + sub.scale(M.field.from_int(sign))
-    return val
+def _add(out, v, is_zero, c=None, negate=False):
+    """Add c * v (v when c is None), negated when negate is set, to the
+    sparse dict out in place; v is a carrier value."""
+    items = v.terms.items()
+    if negate:
+        if c is None:
+            items = ((k, -x) for k, x in items)
+        else:
+            c = -c
+    axpy(out, items, is_zero, c)
 
+
+def _add_multi(out, phi, slots, negate=False):
+    """Add phi at slots as in eval_multi, negated when negate is set, to the
+    sparse dict out in place, one term of the expansion at a time."""
+    one, is_zero = phi.carrier.field.one, phi.carrier.field.is_zero
+    expand = [pos for pos, s in enumerate(slots) if isinstance(s, dict)]
+    args = list(slots)
+    for combo in itertools.product(*[slots[pos].items() for pos in expand]):
+        coeff = None
+        for pos, (w, c) in zip(expand, combo):
+            args[pos] = w
+            coeff = c if coeff is None else coeff * c
+        _add(out, phi.eval_words(tuple(args)), is_zero,
+             None if coeff is one else coeff, negate)
+
+
+def _add_inner_faces(phi, ws, out):
+    """Add sum_{i=1..n} (-1)^i phi(b^1, ..., b^i b^(i+1), ..., b^(n+1)), the
+    faces both coboundaries share, to the sparse dict out in order of i."""
+    mul = phi.carrier.B.mul_words
+    for i in range(1, phi.degree + 1):
+        merged = mul(ws[i - 1], ws[i])
+        _add_multi(out, phi, ws[:i - 1] + (merged,) + ws[i + 1:], i % 2 == 1)
+
+
+# The coboundaries add every term into the terms of their leading term's
+# value, which a carrier action returns as a new object.
 
 def hochschild_b(phi):
     """The standard Hochschild coboundary of phi (degree n -> n+1)."""
@@ -200,9 +212,10 @@ def hochschild_b(phi):
 
     def fn(ws):
         val = M.left_word(ws[0], phi.eval_words(ws[1:]))
-        val = _add_inner_faces(phi, ws, val)
-        trail = M.right_word(phi.eval_words(ws[:n]), ws[n])
-        return val + trail.scale(M.field.from_int((-1) ** (n + 1)))
+        _add_inner_faces(phi, ws, val.terms)
+        _add(val.terms, M.right_word(phi.eval_words(ws[:n]), ws[n]),
+             M.field.is_zero, negate=n % 2 == 0)    # sign (-1)^(n+1)
+        return val
 
     return LazyCochain(n + 1, M, fn)
 
@@ -217,10 +230,10 @@ def twisted_d(phi):
 
     def fn(ws):
         val = M.ad_word(ws[0], phi.eval_words(ws[1:]))
-        val = _add_inner_faces(phi, ws, val)
+        _add_inner_faces(phi, ws, val.terms)
         if ws[n] == ():  # counit of a basis monomial is its constant part
-            val = val + phi.eval_words(ws[:n]).scale(
-                M.field.from_int((-1) ** (n + 1)))
+            _add(val.terms, phi.eval_words(ws[:n]), M.field.is_zero,
+                 negate=n % 2 == 0)
         return val
 
     return LazyCochain(n + 1, M, fn)
@@ -250,7 +263,7 @@ def xi(phi, inverse=False):
                 prod = prod * g[lw]
             if inverse:
                 prod = antipode(prod, 1)
-            out = out + M.right_A(val, prod)
+            _add(out.terms, M.right_A(val, prod), M.field.is_zero)
         return out
 
     return LazyCochain(phi.degree, M, fn)

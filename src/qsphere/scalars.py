@@ -12,7 +12,12 @@ stays exact as well: its QValues n / (d * |a*b|^s) add and multiply with
 no gcd (see NumericField).
 
 Polynomials are stored little-endian as tuples of Python ints, so
-(1, 0, -2) means 1 - 2*q^2.
+(1, 0, -2) means 1 - 2*q^2.  An integer Laurent polynomial (d = 1) is
+packed instead (Kronecker substitution): n is the one int n(2^64), whose
+signed base-2^64 digits are the coefficients, so a product is one int
+product and a sum a shift and an add.  Each packed value carries a bound
+on its coefficients; where the bound would no longer keep the digits
+apart, the arithmetic falls back to the tuples (see RationalFunction).
 """
 
 from __future__ import annotations
@@ -165,37 +170,67 @@ def signed_join(parts):
 # Scalar: q^e * n(q)/d(q) over Z[q]
 # ---------------------------------------------------------------------------
 
+# The packed form: digits of _K bits.  A packed value's bound B, with every
+# |coefficient| <= 2^B, stays below _LIMIT, so the coefficients of the sum
+# of two packed values stay below 2^(_K - 1) and are its digits.
+_K = 64
+_LIMIT = _K - 2
+_DIGIT = (1 << _K) - 1
+_HALF = 1 << (_K - 1)
+
+
 class RationalFunction:
     """An element q^e * n(q)/d(q) of Q(q) in canonical form.
 
-    Invariants: n and d are int tuples with nonzero constant and leading
-    coefficients (zero is e = 0, n = (), d = (1,)); n and d are coprime,
+    Invariants: n and d are integer polynomials with nonzero constant and
+    leading coefficients (zero is e = 0, n = 0, d = 1); n and d are coprime,
     content included; and the leading coefficient of d is positive.
     Equality is therefore structural.  The value is a Laurent polynomial
-    exactly when len(d) == 1, and then sums and products only shift
-    exponents and combine int tuples, with an integer gcd when d != (1,).
-    The polynomial gcd runs only when both sides it would cancel have more
-    than one term.
+    exactly when d is a constant.  The polynomial gcd runs only when both
+    sides it would cancel have more than one term.
 
-    `num` and `den` give the same value as one reduced fraction, with q^e
-    moved into the numerator (e > 0) or the denominator (e < 0).
+    Packed form.  When d = 1 and every coefficient of n is at most
+    2^(K - 3) in absolute value (K = _K = 64), n is stored as the int
+    n(2^K), whose signed base-2^K digits are the coefficients (Kronecker
+    substitution), and the slot of d holds a bound B with every
+    |coefficient| <= 2^B.  A product is one int product, with bound
+    B(a) + B(b) + ceil(log2 m) for m the shorter length, read off the
+    ints' bit lengths; a sum is a shift, an add and a strip of zero low
+    digits, with bound max(B(a), B(b)) + 1.  A result whose bound would
+    reach K - 2 is unpacked: a product is computed again on coefficient
+    tuples, the route of every other value, and a sum's digits are read
+    off as they are.  Either result is packed again, with its exact bound,
+    if it fits.  So every d = 1 value whose coefficients fit is packed;
+    the others keep int tuples n and d, with an integer gcd when d is an
+    integer other than 1.
+
+    `num` and `den` give the same value as one reduced fraction of int
+    tuples, with q^e moved into the numerator (e > 0) or the denominator
+    (e < 0); hash, render and str read them, whatever the form.
     """
 
     __slots__ = ("_e", "_n", "_d", "_hash")
 
     def __init__(self, num, den=(1,)):
-        self._e, self._n, self._d = _canon(num, den)
-        self._hash = None
+        out = _rf(*_canon(num, den))
+        self._e, self._n, self._d = out._e, out._n, out._d
+
+    def _tuples(self):
+        """(e, n, d) with n and d int tuples, whatever the form."""
+        n = self._n
+        if type(n) is int:
+            return self._e, _unpack(n), (1,)
+        return self._e, n, self._d
 
     @property
     def num(self):
-        e = self._e
-        return (0,) * e + self._n if e > 0 else self._n
+        e, n, _ = self._tuples()
+        return (0,) * e + n if e > 0 else n
 
     @property
     def den(self):
-        e = self._e
-        return (0,) * -e + self._d if e < 0 else self._d
+        e, _, d = self._tuples()
+        return (0,) * -e + d if e < 0 else d
 
     # -- constructors ------------------------------------------------------
 
@@ -205,7 +240,7 @@ class RationalFunction:
 
     @staticmethod
     def q_power(k):
-        return _rf(k, (1,), (1,))
+        return _new(k, 1, 0)
 
     @staticmethod
     def from_fraction(fr):
@@ -216,35 +251,44 @@ class RationalFunction:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not RationalFunction:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         n1, n2 = self._n, other._n
+        if type(n1) is not int or type(n2) is not int:
+            return _add_tuples(self, other)
         if not n1:
             return other
         if not n2:
             return self
-        d1, d2 = self._d, other._d
-        if d1 != d2 and len(d1) == 1 and len(d2) == 1:
-            # two Laurent polynomials: bring both over the lcm of the integers
-            c = lcm(d1[0], d2[0])
-            n1, n2 = _pmul((c // d1[0],), n1), _pmul((c // d2[0],), n2)
-            d1 = d2 = (c,)
-        if d1 == d2:
-            e, n = _shifted_sum(n1, self._e, n2, other._e)
+        e1, e2 = self._e, other._e
+        if e1 > e2:
+            n1, n2, e1, e2 = n2, n1, e2, e1
+        if e1 < e2:
+            # the constant digit is n1's, so there is nothing to strip
+            s = n1 + (n2 << _K * (e2 - e1))
         else:
-            e, n = _shifted_sum(_pmul(n1, d2), self._e, _pmul(n2, d1), other._e)
-            d1 = _pmul(d1, d2)
-        if not n:
-            return ZERO
-        if d1 != (1,):
-            n, d1 = _coprime(n, d1)
-        return _rf(e, n, d1)
+            s = n1 + n2
+            if not s:
+                return ZERO
+            if not s & _DIGIT:
+                t = ((s & -s).bit_length() - 1) // _K
+                s >>= _K * t
+                e1 += t
+        bits = self._d if self._d > other._d else other._d
+        if bits + 1 < _LIMIT:
+            out = _object_new(RationalFunction)     # _new, inlined
+            out._e, out._n, out._d = e1, s, bits + 1
+            return out
+        # both bounds are below _LIMIT, so the digits of s are the sum's
+        return _rf(e1, _unpack(s), (1,))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _rf(self._e, _pneg(self._n), self._d)
+        n = self._n
+        return _new(self._e, -n if type(n) is int else _pneg(n), self._d)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -256,9 +300,28 @@ class RationalFunction:
         return _coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not RationalFunction:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        n1, n2 = self._n, other._n
+        if type(n1) is int and type(n2) is int:
+            if not n1 or not n2:
+                return ZERO
+            # a coefficient of the product sums at most m products, m the
+            # shorter length; m <= bit_length // K + 1 of the smaller int
+            if -_HALF < n1 < _HALF or -_HALF < n2 < _HALF:
+                bits = self._d + other._d
+            else:
+                bits = self._d + other._d + (
+                    min(n1.bit_length(), n2.bit_length()) // _K).bit_length()
+            if bits < _LIMIT:
+                out = _object_new(RationalFunction)     # _new, inlined
+                out._e = self._e + other._e
+                # a factor 1 shares the other's int, as cached values do
+                out._n = n2 if n1 == 1 else n1 if n2 == 1 else n1 * n2
+                out._d = bits
+                return out
         return _mul(self, other)
 
     __rmul__ = __mul__
@@ -267,12 +330,12 @@ class RationalFunction:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n, d = other._n, other._d
+        e, n, d = other._tuples()
         if not n:
             raise ZeroDivisionError("division by the zero rational function")
         if n[-1] < 0:
             n, d = _pneg(n), _pneg(d)
-        return _mul(self, _rf(-other._e, d, n))
+        return _mul(self, _rf(-e, d, n))
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
@@ -299,21 +362,25 @@ class RationalFunction:
             other = RationalFunction.from_int(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return (self._e == other._e and self._n == other._n
-                and self._d == other._d)
+        if type(self._n) is int and type(other._n) is int:
+            return self._e == other._e and self._n == other._n
+        return self._tuples() == other._tuples()
 
     def __hash__(self):
         # the hash of the reduced fraction (num, den): the iteration order
-        # of any set or dict keyed by scalars depends on it
-        if self._hash is None:
+        # of any set or dict keyed by scalars depends on it; _hash stays
+        # unset until the first call
+        try:
+            return self._hash
+        except AttributeError:
             self._hash = hash((self.num, self.den))
-        return self._hash
+            return self._hash
 
     def __repr__(self):
         return f"RationalFunction({self.render()!r})"
 
     def render(self):
-        e, n, d = self._e, self._n, self._d
+        e, n, d = self._tuples()
         if not n:
             return "0"
         if d == (1,):
@@ -332,11 +399,44 @@ class RationalFunction:
         return _peval(self.num, q0) / den
 
 
-def _rf(e, n, d):
-    """The RationalFunction q^e * n/d; (e, n, d) must already be canonical."""
-    out = object.__new__(RationalFunction)
-    out._e, out._n, out._d, out._hash = e, n, d, None
+_object_new = object.__new__
+
+
+def _new(e, n, d):
+    """The RationalFunction with the slots _e, _n, _d given as they are."""
+    out = _object_new(RationalFunction)
+    out._e, out._n, out._d = e, n, d
     return out
+
+
+def _rf(e, n, d):
+    """The RationalFunction q^e * n/d for canonical int tuples (e, n, d),
+    packed when d = (1,) and the coefficients fit."""
+    if d == (1,):
+        bits = (max(map(abs, n), default=1) - 1).bit_length()
+        if bits < _LIMIT:
+            return _new(e, _pack(n), bits)
+    return _new(e, n, d)
+
+
+def _pack(cs):
+    """The int cs(2^_K) of a coefficient tuple."""
+    v = 0
+    for c in reversed(cs):
+        v = (v << _K) + c
+    return v
+
+
+def _unpack(v):
+    """The coefficient tuple of a packed int: its signed base-2^_K digits."""
+    out = []
+    while v:
+        c = v & _DIGIT
+        if c >= _HALF:
+            c -= _DIGIT + 1
+        out.append(c)
+        v = (v - c) >> _K
+    return tuple(out)
 
 
 def _coerce(x):
@@ -349,10 +449,36 @@ def _coerce(x):
     return NotImplemented
 
 
+def _add_tuples(x, y):
+    """x + y on coefficient tuples, for operands not both packed."""
+    e1, n1, d1 = x._tuples()
+    e2, n2, d2 = y._tuples()
+    if not n1:
+        return y
+    if not n2:
+        return x
+    if d1 != d2 and len(d1) == 1 and len(d2) == 1:
+        # two Laurent polynomials: bring both over the lcm of the integers
+        c = lcm(d1[0], d2[0])
+        n1, n2 = _pmul((c // d1[0],), n1), _pmul((c // d2[0],), n2)
+        d1 = d2 = (c,)
+    if d1 == d2:
+        e, n = _shifted_sum(n1, e1, n2, e2)
+    else:
+        e, n = _shifted_sum(_pmul(n1, d2), e1, _pmul(n2, d1), e2)
+        d1 = _pmul(d1, d2)
+    if not n:
+        return ZERO
+    if d1 != (1,):
+        n, d1 = _coprime(n, d1)
+    return _rf(e, n, d1)
+
+
 def _mul(x, y):
-    """x * y: cancel each numerator against the other denominator; the
-    products of the cancelled factors are then canonical."""
-    n1, n2, d1, d2 = x._n, y._n, x._d, y._d
+    """x * y on coefficient tuples: cancel each numerator against the other
+    denominator; the products of the cancelled factors are then canonical."""
+    e1, n1, d1 = x._tuples()
+    e2, n2, d2 = y._tuples()
     if not n1 or not n2:
         return ZERO
     if d2 != (1,):
@@ -360,7 +486,7 @@ def _mul(x, y):
     if d1 != (1,):
         n2, d1 = _coprime(n2, d1)
         d2 = _pmul(d1, d2)
-    return _rf(x._e + y._e, _pmul(n1, n2), d2)
+    return _rf(e1 + e2, _pmul(n1, n2), d2)
 
 
 def _shifted_sum(a, ea, b, eb):

@@ -5,6 +5,7 @@ hochschild < duality < checks < cli (koszul and hochschild share a level and
 import neither each other).  The one sanctioned exception are the cache
 fills that ncalg's Context and AlgebraPreset import inside their methods:
 the caches live on the algebra objects, their functions in the layers above.
+No module but scalars reads the slots of RationalFunction.
 """
 
 import ast
@@ -80,3 +81,36 @@ def test_the_check_sees_an_upward_import():
     tree = ast.parse("class Context:\n    def __init__(self):\n"
                      "        from .koszul import f\n")
     assert _imports(tree) == [("koszul", "Context")]
+
+
+# RationalFunction's slots: _n holds an int in the packed form and _d its
+# coefficient bound, so only scalars may read them
+SCALAR_SLOTS = {"_e", "_n", "_d", "_hash"}
+
+
+def _slot_reads(tree):
+    """Names of RationalFunction slots that tree reads, as attributes or
+    through getattr/setattr with a literal name."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in SCALAR_SLOTS:
+            out.append(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "setattr", "hasattr")
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value in SCALAR_SLOTS):
+            out.append(node.args[1].value)
+    return out
+
+
+def test_only_scalars_reads_the_scalar_slots():
+    reads = {name: _slot_reads(ast.parse((SRC / f"{name}.py").read_text()))
+             for name in LEVEL if name != "scalars"}
+    assert {name: r for name, r in reads.items() if r} == {}
+    assert set(_slot_reads(ast.parse((SRC / "scalars.py").read_text()))) \
+        == SCALAR_SLOTS
+
+
+def test_the_slot_check_sees_a_read():
+    tree = ast.parse("def f(x):\n    return x._n, getattr(x, '_d'), x.num\n")
+    assert _slot_reads(tree) == ["_n", "_d"]

@@ -1,7 +1,9 @@
 """The summary statistics and the run order of tools/pairs.py."""
 
 import importlib.util
+import json
 import math
+import shutil
 from pathlib import Path
 
 import pytest
@@ -97,3 +99,50 @@ def test_setup_passes_alternate_the_first_side_and_are_summarized():
     assert s["ratio"] == pytest.approx(0.1475 / 0.1525)
     line = pairs.metric_line("setup direct", s)
     assert "B better in 3/4" in line and "B/A 0.967" in line
+
+
+def _tree(tmp_path, names):
+    (tmp_path / "perfbench").mkdir(parents=True)
+    (tmp_path / "perfbench" / "workloads.json").write_text(json.dumps(
+        {"workloads": {n: {"checks": {}} for n in names}}))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": [{"name": "run_s", "better": "lower"}]}))
+    return tmp_path
+
+
+def test_workload_all_names_every_declared_workload_in_file_order(tmp_path):
+    tree = _tree(tmp_path, ["resolution-sym", "cochain-sym", "sigma-q"])
+    assert pairs.workload_names(tree, "all") == ["resolution-sym",
+                                                 "cochain-sym", "sigma-q"]
+    assert pairs.workload_names(tree, "sigma-q") == ["sigma-q"]
+    with pytest.raises(ValueError, match="unknown workload"):
+        pairs.workload_names(tree, "sigma")
+
+
+def test_workload_all_runs_each_workload_on_the_same_seeds(tmp_path, monkeypatch,
+                                                           capsys):
+    src = _tree(tmp_path / "src", ["w1", "w2"])
+    calls = []
+
+    def bench(tree, workload, seed, seconds):
+        calls.append((tree.name, workload, seed))
+        value = 1.0 if tree.name == "A" else 0.5
+        return {"correct": True, "failed": 0,
+                "metrics": {"run_s": {"value": value}}}
+
+    monkeypatch.setattr(pairs, "export",
+                        lambda rev, dest: shutil.copytree(src, dest))
+    monkeypatch.setattr(pairs, "bench", bench)
+    status = pairs.main(["HEAD~1", "HEAD", "--workload", "all", "--pairs", "2",
+                         "--seed0", "7"])
+    assert status == 0
+    assert calls == [("A", "w1", 7), ("B", "w1", 7), ("B", "w1", 8),
+                     ("A", "w1", 8), ("A", "w2", 7), ("B", "w2", 7),
+                     ("B", "w2", 8), ("A", "w2", 8)]
+    lines = capsys.readouterr().out.splitlines()
+    summaries = [json.loads(line) for line in lines if line.startswith("{")]
+    assert [s["workload"] for s in summaries] == ["w1", "w2"]
+    for s in summaries:
+        assert s["seeds"] == [7, 8]
+        assert s["metrics"]["run_s"]["B_won"] == 2
+    assert lines[-1].startswith('{"workload": "w2"')

@@ -2,12 +2,14 @@
 cancellation at either end of a Laurent polynomial, integer-denominator
 gcds, mixed Laurent/general operands and hashing of equal values."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from qsphere.scalars import Q, ZERO, RationalFunction, _pgcd
+from qsphere import scalars
+from qsphere.scalars import ONE, Q, ZERO, RationalFunction, _pgcd
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -90,3 +92,96 @@ def test_equal_values_hash_equal(a, b):
     for x, y in pairs:
         assert x == y and hash(x) == hash(y)
         assert hash(x) == hash((x.num, x.den))
+
+
+# -- the packed form of integer Laurent polynomials ---------------------------
+# scalars packs q^e * n(q) with integer coefficients as the int n(2^_K);
+# _digits switches the digit width, and with pack=False nothing is packed,
+# so every value takes the tuple route.
+
+@contextmanager
+def _digits(k, pack=True):
+    names = ("_K", "_LIMIT", "_DIGIT", "_HALF")
+    saved = [getattr(scalars, n) for n in names]
+    new = (k, k - 2 if pack else 0, (1 << k) - 1, 1 << (k - 1))
+    for n, v in zip(names, new):
+        setattr(scalars, n, v)
+    try:
+        yield
+    finally:
+        for n, v in zip(names, saved):
+            setattr(scalars, n, v)
+
+
+def _packed(x):
+    return type(x._n) is int
+
+
+def test_the_digit_constants_derive_from_the_width():
+    assert scalars._LIMIT == scalars._K - 2
+    assert scalars._DIGIT == (1 << scalars._K) - 1
+    assert scalars._HALF == 1 << (scalars._K - 1)
+
+
+def _program(a, b, c):
+    """Sums, products, negation and division of three Laurent operands
+    (coefficient lists with an exponent), as reduced (num, den) tuples."""
+    x, y, z = (rf(cs) * Q ** e for cs, e in (a, b, c))
+    outs = [x + y, x - y, y - x, x * y, -x, x * y + z, (x + y) * (x - z),
+            x * x * y, (x * y) ** 2, x + y * z - x, x * y - y * x]
+    s = ZERO
+    for t in (x, y, z, x * y, y * z) * 3:
+        s = s + t                    # a chain of sums grows the bound
+    outs.append(s)
+    outs += [x / y, (x * y) / y, (x + z) / (y * z), ONE / x]
+    return [(v.num, v.den) for v in outs]
+
+
+_small = st.lists(st.integers(-40, 40), min_size=1, max_size=5).filter(any)
+_wide = st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1,
+                 max_size=3).filter(any)
+_operand = st.tuples(st.one_of(_small, _small, _wide), st.integers(-4, 4))
+
+
+@_settings
+@hypothesis.given(_operand, _operand, _operand)
+def test_packed_arithmetic_agrees_with_the_tuple_route(a, b, c):
+    with _digits(64, pack=False):
+        want = _program(a, b, c)
+    assert _program(a, b, c) == want
+    with _digits(8):        # coefficients above 2^6 leave the packed form
+        assert _program(a, b, c) == want
+
+
+@_settings
+@hypothesis.given(_operand, _operand)
+def test_packed_and_tuple_values_agree_on_eq_and_hash(a, b):
+    with _digits(64, pack=False):
+        tuples = [rf(cs) * Q ** e for cs, e in (a, b)]
+    packed = [rf(cs) * Q ** e for cs, e in (a, b)]
+    assert not any(map(_packed, tuples))
+    for t, p in zip(tuples, packed):
+        assert t == p and p == t and hash(t) == hash(p)
+        assert t.render() == p.render() and (t.num, t.den) == (p.num, p.den)
+    x, y = tuples[0] * packed[1], packed[0] * tuples[1]
+    assert x == y and hash(x) == hash(y)
+    assert tuples[0] + packed[1] == packed[0] + tuples[1]
+
+
+def test_small_digits_force_the_tuple_fallback():
+    x = rf((5, -3, 7)) * Q ** -2           # bound 3: packed at 8-bit digits
+    with _digits(8):
+        x = rf((5, -3, 7)) * Q ** -2
+        y = rf((1, 1))
+        assert _packed(x) and _packed(y)
+        z = x * x                           # bound 7 would reach K - 1 = 7
+        assert not _packed(z)
+        assert (z.num, z.den) == ((25, -30, 79, -42, 49), (0, 0, 0, 0, 1))
+        w = y
+        for _ in range(6):                  # (1 + q)^64, coefficients to 2^60
+            w = w * w
+        assert not _packed(w) and w.num[32] == 1832624140942590534
+        total = ZERO
+        for _ in range(30):                 # each sum adds one to the bound
+            total = total + y
+        assert _packed(total) and total == rf((30, 30))

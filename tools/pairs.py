@@ -18,7 +18,12 @@ medians, while each pair's ratio compares two runs made one after the
 other) and the number of pairs in which B was better, and per side the
 failed checks and the runs that did not report `correct` (a failed set-up
 pass counts there, not as a failed check).  The exit status is 1 when any
-of them is nonzero.  The last line is the same summary as JSON.
+of them is nonzero.  Each summary ends with the same summary as JSON on
+one line.
+
+--workload all runs every workload of side B's perfbench/workloads.json in
+turn, in file order and on the same seeds, and prints one summary per
+workload after the last run.
 
 --setup M also alternates M pairs of `perfbench/worker.py --mode setup`
 passes directly on the two exports, after one untimed pass per side that
@@ -195,6 +200,66 @@ def compare_bytes(trees):
     return same
 
 
+def workload_names(tree, name):
+    """[name], or for "all" every workload of tree's workloads.json in file
+    order."""
+    with open(Path(tree) / "perfbench" / "workloads.json") as fh:
+        declared = list(json.load(fh)["workloads"])
+    if name == "all":
+        return declared
+    if name not in declared:
+        raise ValueError(f"unknown workload {name!r}; declared: "
+                         f"{', '.join(declared)} or all")
+    return [name]
+
+
+def compare_workload(trees, workload, args, declared, run_seconds):
+    """Run the pairs and set-up alternations of one workload; returns its
+    summary."""
+    runs = {"A": [], "B": []}
+    for seed, order in schedule(args.pairs, args.seed0):
+        for side in order:
+            runs[side].append(bench(trees[side], workload, seed, run_seconds))
+        print(f"{workload} seed {seed} ({order[0]} first): " + "  ".join(
+            f"{m['name']} {runs['A'][-1]['metrics'][m['name']]['value']:.4f}"
+            f" -> {runs['B'][-1]['metrics'][m['name']]['value']:.4f}"
+            for m in declared), flush=True)
+    setup = {}
+    if args.setup:
+        specs = {}
+        for side, tree in trees.items():
+            clear_bytecode(tree)
+            with open(tree / "perfbench" / "workloads.json") as fh:
+                specs[side] = json.load(fh)["workloads"][workload]
+            setup_time(tree, specs[side])  # compiles the bytecode
+        setup = alternate(args.setup,
+                          lambda side: setup_time(trees[side], specs[side]))
+    summary = {"workload": workload, "A": args.rev_a, "B": args.rev_b,
+               "seeds": ([args.seed0, args.seed0 + args.pairs - 1]
+                         if args.pairs else []),
+               **tally(runs), "metrics": {}}
+    for m in declared if args.pairs else ():
+        name = m["name"]
+        summary["metrics"][name] = summarize(
+            *([r["metrics"][name]["value"] for r in runs[side]] for side in "AB"),
+            better=m["better"])
+    if setup:
+        summary["setup_direct"] = summarize(setup["A"], setup["B"])
+    return summary
+
+
+def print_summary(summary):
+    print(f"== {summary['workload']}")
+    for name, s in summary["metrics"].items():
+        print(metric_line(name, s))
+    if "setup_direct" in summary:
+        print(metric_line("setup direct", summary["setup_direct"]))
+    print(f"failed checks: A {summary['failed']['A']}, B {summary['failed']['B']};"
+          f" runs not correct: A {summary['incorrect']['A']},"
+          f" B {summary['incorrect']['B']}")
+    print(json.dumps(summary))
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("rev_a")
@@ -212,49 +277,21 @@ def main(argv=None):
         trees = {side: Path(tmp) / side for side in "AB"}
         for side, rev in zip("AB", (args.rev_a, args.rev_b)):
             export(rev, trees[side])
+        try:
+            names = workload_names(trees["B"], args.workload)
+        except ValueError as exc:
+            ap.error(str(exc))
         with open(trees["B"] / "BENCHMARK.json") as fh:
             benchmark = json.load(fh)
-        declared = benchmark["end_to_end"]
-        runs = {"A": [], "B": []}
-        for seed, order in schedule(args.pairs, args.seed0):
-            for side in order:
-                runs[side].append(bench(trees[side], args.workload, seed,
-                                        benchmark["run_seconds"]))
-            print(f"seed {seed} ({order[0]} first): " + "  ".join(
-                f"{m['name']} {runs['A'][-1]['metrics'][m['name']]['value']:.4f}"
-                f" -> {runs['B'][-1]['metrics'][m['name']]['value']:.4f}"
-                for m in declared), flush=True)
-        setup = {}
-        if args.setup:
-            specs = {}
-            for side, tree in trees.items():
-                clear_bytecode(tree)
-                with open(tree / "perfbench" / "workloads.json") as fh:
-                    specs[side] = json.load(fh)["workloads"][args.workload]
-                setup_time(tree, specs[side])  # compiles the bytecode
-            setup = alternate(args.setup,
-                              lambda side: setup_time(trees[side], specs[side]))
+        summaries = [compare_workload(trees, name, args, benchmark["end_to_end"],
+                                      benchmark["run_seconds"])
+                     for name in names]
         same = compare_bytes([trees["A"], trees["B"]]) if args.bytes else True
 
-    counts = tally(runs)
-    summary = {"workload": args.workload, "A": args.rev_a, "B": args.rev_b,
-               "seeds": ([args.seed0, args.seed0 + args.pairs - 1]
-                         if args.pairs else []),
-               **counts, "metrics": {}}
-    for m in declared if args.pairs else ():
-        name = m["name"]
-        s = summary["metrics"][name] = summarize(
-            *([r["metrics"][name]["value"] for r in runs[side]] for side in "AB"),
-            better=m["better"])
-        print(metric_line(name, s))
-    if setup:
-        s = summary["setup_direct"] = summarize(setup["A"], setup["B"])
-        print(metric_line("setup direct", s))
-    print(f"failed checks: A {summary['failed']['A']}, B {summary['failed']['B']};"
-          f" runs not correct: A {summary['incorrect']['A']},"
-          f" B {summary['incorrect']['B']}")
-    print(json.dumps(summary))
-    return exit_status(counts, same)
+    for summary in summaries:
+        print_summary(summary)
+    return max(exit_status({k: s[k] for k in ("failed", "incorrect")}, same)
+               for s in summaries)
 
 
 if __name__ == "__main__":

@@ -174,6 +174,9 @@ def test_small_digits_force_the_tuple_fallback():
         x = rf((5, -3, 7)) * Q ** -2
         y = rf((1, 1))
         assert _packed(x) and _packed(y)
+        big, small = RationalFunction.from_int(100), RationalFunction.from_int(-32)
+        assert not _packed(big) and _packed(small)
+        assert big == rf((100,)) and big * small == rf((-3200,))
         z = x * x                           # bound 7 would reach K - 1 = 7
         assert not _packed(z)
         assert (z.num, z.den) == ((25, -30, 79, -42, 49), (0, 0, 0, 0, 1))

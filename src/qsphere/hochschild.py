@@ -181,7 +181,7 @@ def _add(out, v, is_zero, c=None, negate=False):
 def _add_multi(out, phi, slots, negate=False):
     """Add phi at slots as in eval_multi, negated when negate is set, to the
     sparse dict out in place, one term of the expansion at a time."""
-    one, is_zero = phi.carrier.field.one, phi.carrier.field.is_zero
+    is_zero = phi.carrier.field.is_zero
     expand = [pos for pos, s in enumerate(slots) if isinstance(s, dict)]
     args = list(slots)
     for combo in itertools.product(*[slots[pos].items() for pos in expand]):
@@ -189,8 +189,7 @@ def _add_multi(out, phi, slots, negate=False):
         for pos, (w, c) in zip(expand, combo):
             args[pos] = w
             coeff = c if coeff is None else coeff * c
-        _add(out, phi.eval_words(tuple(args)), is_zero,
-             None if coeff is one else coeff, negate)
+        _add(out, phi.eval_words(tuple(args)), is_zero, coeff, negate)
 
 
 def _add_inner_faces(phi, ws, out):

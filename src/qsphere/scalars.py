@@ -237,7 +237,9 @@ class RationalFunction:
     @staticmethod
     def from_int(n):
         bits = (abs(n) - 1).bit_length()
-        return _new(0, n, bits) if bits < _LIMIT else _new(0, (n,), (1,))
+        if bits < _LIMIT:
+            return _new(0, n, bits)
+        return _rf(0, (n,) if n else (), (1,))
 
     @staticmethod
     def q_power(k):

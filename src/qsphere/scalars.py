@@ -23,7 +23,7 @@ apart, the arithmetic falls back to the tuples (see RationalFunction).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import add, mul, not_, truediv
 
 
@@ -211,9 +211,8 @@ class RationalFunction:
 
     __slots__ = ("_e", "_n", "_d", "_hash")
 
-    def __init__(self, num, den=(1,)):
-        out = _rf(*_canon(num, den))
-        self._e, self._n, self._d = out._e, out._n, out._d
+    def __new__(cls, num, den=(1,)):
+        return _rf(*_canon(num, den))
 
     def _tuples(self):
         """(e, n, d) with n and d int tuples, whatever the form."""
@@ -238,7 +237,7 @@ class RationalFunction:
     def from_int(n):
         bits = (abs(n) - 1).bit_length()
         if bits < _LIMIT:
-            return _new(0, n, bits)
+            return _new(0, +n, bits)        # +n: an int, for a bool too
         return _rf(0, (n,) if n else (), (1,))
 
     @staticmethod
@@ -268,17 +267,13 @@ class RationalFunction:
         e1, e2 = self._e, other._e
         if e1 > e2:
             n1, n2, e1, e2 = n2, n1, e2, e1
-        if e1 < e2:
-            # the constant digit is n1's, so there is nothing to strip
-            s = n1 + (n2 << _K * (e2 - e1))
-        else:
-            s = n1 + n2
-            if not s:
-                return ZERO
-            if not s & _DIGIT:
-                t = ((s & -s).bit_length() - 1) // _K
-                s >>= _K * t
-                e1 += t
+        s = n1 + (n2 << _K * (e2 - e1))
+        if not s:
+            return ZERO
+        if not s & _DIGIT:      # e1 == e2: else the constant digit is n1's
+            t = ((s & -s).bit_length() - 1) // _K
+            s >>= _K * t
+            e1 += t
         bits = self._d if self._d > other._d else other._d
         if bits + 1 < _LIMIT:
             out = _object_new(RationalFunction)     # _new, inlined
@@ -361,9 +356,8 @@ class RationalFunction:
         return bool(self._n)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = RationalFunction.from_int(other)
-        if not isinstance(other, RationalFunction):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         if type(self._n) is int and type(other._n) is int:
             return self._e == other._e and self._n == other._n
@@ -418,25 +412,18 @@ def _rf(e, n, d):
     if d == (1,):
         bits = (max(map(abs, n), default=1) - 1).bit_length()
         if bits < _LIMIT:
-            return _new(e, _pack(n), bits)
+            v = 0
+            for c in reversed(n):       # v = n(2^_K)
+                v = (v << _K) + c
+            return _new(e, v, bits)
     return _new(e, n, d)
-
-
-def _pack(cs):
-    """The int cs(2^_K) of a coefficient tuple."""
-    v = 0
-    for c in reversed(cs):
-        v = (v << _K) + c
-    return v
 
 
 def _unpack(v):
     """The coefficient tuple of a packed int: its signed base-2^_K digits."""
     out = []
     while v:
-        c = v & _DIGIT
-        if c >= _HALF:
-            c -= _DIGIT + 1
+        c = ((v + _HALF) & _DIGIT) - _HALF
         out.append(c)
         v = (v - c) >> _K
     return tuple(out)
@@ -460,11 +447,6 @@ def _add_tuples(x, y):
         return y
     if not n2:
         return x
-    if d1 != d2 and len(d1) == 1 and len(d2) == 1:
-        # two Laurent polynomials: bring both over the lcm of the integers
-        c = lcm(d1[0], d2[0])
-        n1, n2 = _pmul((c // d1[0],), n1), _pmul((c // d2[0],), n2)
-        d1 = d2 = (c,)
     if d1 == d2:
         e, n = _shifted_sum(n1, e1, n2, e2)
     else:

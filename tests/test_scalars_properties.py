@@ -149,7 +149,7 @@ def test_packed_arithmetic_agrees_with_the_tuple_route(a, b, c):
     with _digits(64, pack=False):
         want = _program(a, b, c)
     assert _program(a, b, c) == want
-    with _digits(8):        # coefficients above 2^6 leave the packed form
+    with _digits(8):        # coefficients above 2^5 leave the packed form
         assert _program(a, b, c) == want
 
 
@@ -169,15 +169,14 @@ def test_packed_and_tuple_values_agree_on_eq_and_hash(a, b):
 
 
 def test_small_digits_force_the_tuple_fallback():
-    x = rf((5, -3, 7)) * Q ** -2           # bound 3: packed at 8-bit digits
-    with _digits(8):
-        x = rf((5, -3, 7)) * Q ** -2
+    with _digits(8):                        # packed: |coefficients| <= 2^5
+        x = rf((5, -3, 7)) * Q ** -2        # bound 3
         y = rf((1, 1))
         assert _packed(x) and _packed(y)
         big, small = RationalFunction.from_int(100), RationalFunction.from_int(-32)
         assert not _packed(big) and _packed(small)
         assert big == rf((100,)) and big * small == rf((-3200,))
-        z = x * x                           # bound 7 would reach K - 1 = 7
+        z = x * x                           # bound 3 + 3 + 2 reaches K - 2
         assert not _packed(z)
         assert (z.num, z.den) == ((25, -30, 79, -42, 49), (0, 0, 0, 0, 1))
         w = y

@@ -13,7 +13,7 @@ verification suite (checks), and a CLI (cli).
 """
 
 from .scalars import (NumericField, RationalFunction, SYMBOLIC, SymbolicField,
-                      arith, q_bracket, specialize)
+                      q_bracket, specialize)
 from .ncalg import (LAURENT, PODLES, QSL2, SMASH_Z2, Grading, NCPoly,
                     embed_podles, express_in_podles, filtration_basis,
                     get_algebra, grade_decompose, multiply, normal_form,

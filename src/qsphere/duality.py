@@ -122,8 +122,8 @@ class Functional:
 
     A sparse functional is a table seeded in advance whose value function
     returns zero.  A torus character keeps its parameter in `t` (None
-    otherwise) for compose_S and the character action on cochains.  The
-    memo lives and dies with the object.
+    otherwise) for the character action on cochains.  The memo lives and
+    dies with the object.
     """
 
     def __init__(self, alg, value, table=None, t=None):
@@ -199,16 +199,6 @@ class Functional:
             if not field.is_zero(v):
                 out = out + c * v
         return out
-
-    # -- torus characters ----------------------------------------------------
-
-    def compose_S(self):
-        """X o S = X at 1/t for a torus character X.  (X o S^2 = X, since
-        S^2 fixes a and d and scales b and c.)"""
-        if self.t is None:
-            raise ValueError("compose_S needs a torus character (char_A)")
-        field = self.alg.field
-        return Functional.char_A(field.one / self.t, field)
 
 
 def convolution(phi, psi):

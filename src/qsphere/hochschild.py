@@ -36,9 +36,9 @@ import itertools
 from .hopf import (Tensor, _cop_word, antipode, b_coproduct_grouped,
                    b_coproduct_word, contract_left, leg_product)
 from .linalg import axpy, kernel
-from .ncalg import (PODLES, QSL2, Memo, NCPoly, embed_podles,
+from .ncalg import (PODLES, QSL2, Grading, Memo, NCPoly, embed_podles,
                     express_in_podles, filtration_basis, get_algebra,
-                    podles_index, qsl2_index, qsl2_word)
+                    qsl2_word)
 from .scalars import SYMBOLIC
 
 
@@ -221,7 +221,7 @@ def hochschild_b(phi):
 
 def twisted_d(phi):
     """The adjoint-twisted coboundary: leading term ad(b^1), trailing term
-    scaled by the counit of the last argument (BxA carrier only)."""
+    scaled by the counit of the last argument (BxA and A_twist carriers)."""
     n = phi.degree
     M = phi.carrier
     if M.kind == "B":
@@ -272,13 +272,10 @@ def xi(phi, inverse=False):
 # the action of torus characters on cochains
 # ---------------------------------------------------------------------------
 
-def _sphere_weight(w):
-    return -2 * podles_index(w)[1]      # y0^i y+-1^j, j signed
-
-
-def _qsl2_weight(w):
-    l, m, n = qsl2_index(w)             # a^l b^m c^n, l = -k for d^k
-    return l - m + n
+# torus weights, X_t.w = t^wt(w) w: -2j on y0^i y+-1^j (j signed) and
+# l - m + n on a^l b^m c^n (l = -k for d^k)
+_sphere_weight = Grading("sphere-torus-weight", (0, -2, 2)).of_word
+_qsl2_weight = Grading("qsl2-torus-weight", (1, -1, -1, 1)).of_word
 
 
 class CharacterFunctional:

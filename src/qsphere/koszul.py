@@ -281,31 +281,23 @@ def nu_closed_form(i, j, field=SYMBOLIC):
 class TruncatedMap:
     """A linear map between truncated graded pieces, with explicit bases.
 
-    matrix[r][c] is the coefficient of codomain_basis[r] in the image of
-    domain_basis[c]; construction verifies that every image lies in the
-    span of the codomain basis.
+    columns[c] is the image of domain_basis[c] as a sparse dict
+    {codomain word: nonzero coefficient}; construction verifies that every
+    image lies in the span of the codomain basis.
     """
 
     def __init__(self, field, domain_basis, codomain_basis, images):
         self.field = field
         self.domain_basis = list(domain_basis)
         self.codomain_basis = list(codomain_basis)
-        index = {w: r for r, w in enumerate(self.codomain_basis)}
-        rows = len(self.codomain_basis)
-        self.matrix = [[field.zero] * len(self.domain_basis) for _ in range(rows)]
-        for c, img in enumerate(images):
-            for w, coeff in img.items():
-                if w not in index:
-                    raise ValueError("image leaves the codomain basis span")
-                self.matrix[index[w]][c] = coeff
+        self.columns = [{w: c for w, c in img.items() if not field.is_zero(c)}
+                        for img in images]
+        span = set(self.codomain_basis)
+        if any(w not in span for col in self.columns for w in col):
+            raise ValueError("image leaves the codomain basis span")
 
     def column_rank(self):
-        ech = Echelon(self.field)
-        for c in range(len(self.domain_basis)):
-            vec = {r: self.matrix[r][c] for r in range(len(self.codomain_basis))
-                   if not self.field.is_zero(self.matrix[r][c])}
-            ech.add(vec)
-        return ech.rank
+        return rank(self.field, self.columns)
 
 
 def quotient_level_basis(j):
@@ -336,29 +328,26 @@ def zeta_matrix(jmax, field=SYMBOLIC):
     cod = quotient_level_basis(jmax + 1)
     images = [nu_reduce(K.B.monomial(w) * K.z1) for w in dom]
     tmap = TruncatedMap(field, dom, cod, images)
+    cols, zero = tmap.columns, field.zero
 
-    rows = {w: r for r, w in enumerate(cod)}
     j1 = jmax + 1
-    diag = [tmap.matrix[rows[podles_word(k, 0)]][k - 1] for k in range(1, j1 + 1)]
-    sub = [tmap.matrix[rows[podles_word(k + 1, 0)]][k - 1] for k in range(1, j1 + 1)]
+    diag = [cols[k - 1].get(podles_word(k, 0), zero) for k in range(1, j1 + 1)]
+    sub = [cols[k - 1].get(podles_word(k + 1, 0), zero)
+           for k in range(1, j1 + 1)]
     rank = tmap.column_rank()
 
     def square_without(drop_words):
-        drop = {rows[w] for w in drop_words}
-        return [[tmap.matrix[r][c] for c in range(len(dom))]
-                for r in range(len(cod)) if r not in drop]
+        return [[col.get(w, zero) for col in cols]
+                for w in cod if w not in drop_words]
 
     det_drop_y0_one = determinant(field, square_without([podles_word(1, 0), ()]))
     det_drop_one_top = determinant(
         field, square_without([(), podles_word(jmax + 2, 0)]))
     # the upper-right block: the nu(y1^k) columns carry nonzero entries in
     # the rows nu(y0^1), ..., nu(y0^(k+1)), and the nu(1) column hits nu(y0)
-    upper_right = not field.is_zero(tmap.matrix[rows[podles_word(1, 0)]][j1])
-    for k in range(1, jmax + 1):
-        col = j1 + 1 + (k - 1)
-        for r in range(1, k + 2):
-            if field.is_zero(tmap.matrix[rows[podles_word(r, 0)]][col]):
-                upper_right = False
+    upper_right = podles_word(1, 0) in cols[j1] and all(
+        podles_word(r, 0) in cols[j1 + k]
+        for k in range(1, jmax + 1) for r in range(1, k + 2))
     report = {
         "jmax": jmax,
         "rank": rank,

@@ -548,19 +548,6 @@ Q = RationalFunction.q_power(1)
 # spec-level operations
 # ---------------------------------------------------------------------------
 
-def arith(a, b, op):
-    """Field arithmetic dispatch: op in {'add','sub','mul','div'}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def specialize(a: RationalFunction, q0) -> Fraction:
     """Evaluate a at an exact rational q0 (q0 nonzero, |q0| != 1)."""
     q0 = Fraction(q0)

@@ -186,10 +186,11 @@ def test_character_value_computed_once_per_word(monkeypatch):
 
 @pytest.mark.parametrize("field", [SYMBOLIC, NumericField("3/2")],
                          ids=["symbolic", "q=3/2"])
-def test_compose_S_is_precomposition_with_the_antipode(field):
+def test_char_A_at_inverse_parameter_is_precomposition_with_the_antipode(
+        field):
     Af = get_algebra(QSL2, field)
     X = Functional.char_A(field.q_power(2) * field.from_int(-3), field)
-    XS = X.compose_S()
+    XS = Functional.char_A(field.one / X.t, field)
     assert XS.t == field.one / X.t
     for w in filtration_basis(Af, 4):
         assert XS.on_word(w) == X(antipode(Af.monomial(w), 1)), w
@@ -364,7 +365,8 @@ def _act_by_coproduct(X, w, sphere):
 def _character_action_by_coproduct(X, phi):
     """The character action as (X (x) X) |> phi(S(X).b^1, ...), every
     action through the coproduct and phi expanded by eval_multi."""
-    M, XS = phi.carrier, X.compose_S()
+    M, field = phi.carrier, X.alg.field
+    XS = Functional.char_A(field.one / X.t, field)     # X o S
 
     def fn(ws):
         args = tuple(_act_by_coproduct(XS, w, True) for w in ws)

@@ -16,7 +16,7 @@ from qsphere.ncalg import (PODLES, NCPoly, filtration_basis,
                            get_algebra, grade_decompose, podles_degree,
                            podles_index, podles_word)
 from qsphere.linalg import Echelon, axpy, kernel, rank
-from qsphere.scalars import ONE, Q, SYMBOLIC, NumericField
+from qsphere.scalars import ONE, Q, SYMBOLIC, ZERO, NumericField
 
 B = get_algebra(PODLES)
 Q32 = NumericField("3/2")
@@ -403,10 +403,9 @@ def test_zeta_matrix_structure():
     assert [m for m in tmap.domain_basis] == \
         [m for m in quotient_level_basis(4)]
     # nu(1) column: zeta(nu(1)) = nu(y0) + nu(y1)
-    col = tmap.domain_basis.index(())
-    rows = {m: r for r, m in enumerate(tmap.codomain_basis)}
-    assert tmap.matrix[rows[podles_word(1, 0)]][col] == ONE
-    assert tmap.matrix[rows[podles_word(0, 1)]][col] == ONE
+    col = tmap.columns[tmap.domain_basis.index(())]
+    assert col[podles_word(1, 0)] == ONE
+    assert col[podles_word(0, 1)] == ONE
     # the actual y0-block: diagonal -q, vanishing subdiagonal
     assert rep["y0_diagonal"] == ["-q"] * 5
     assert rep["y0_subdiagonal"] == ["0"] * 5
@@ -436,6 +435,10 @@ def test_truncated_map_membership_guard():
     images = [nu_reduce(B.monomial(m) * z1) for m in dom]
     with pytest.raises(ValueError):
         TruncatedMap(SYMBOLIC, dom, cod, images)
+    # zero entries are dropped, so only a nonzero one leaves the span
+    tmap = TruncatedMap(SYMBOLIC, [()], cod,
+                        [{(): ONE, podles_word(5, 0): ZERO}])
+    assert tmap.columns == [{(): ONE}]
 
 
 def test_ext_concentration_and_character():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -52,6 +53,47 @@ def test_determinant_exact():
     # row swaps flip the sign
     m = [[ZERO, ONE], [ONE, ZERO]]
     assert determinant(SYMBOLIC, m) == -ONE
+
+
+def _leibniz(field, m):
+    total = field.zero
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(1 for i in range(len(perm))
+                         for j in range(i) if perm[j] > perm[i])
+        term = field.one if inversions % 2 == 0 else -field.one
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("field", [SYMBOLIC, NumericField("3/2")],
+                         ids=["symbolic", "q=3/2"])
+def test_determinant_matches_leibniz_with_row_swaps(field):
+    rng = random.Random(178)
+
+    def entry():                        # nonzero
+        c = field.from_int(rng.choice((-3, -2, -1, 1, 2, 3)))
+        c = c * field.q_power(rng.randint(-2, 2))
+        if rng.random() < 0.3:          # leave the Laurent polynomials
+            c = c / (field.q_power(1) + field.from_int(rng.randint(1, 3)))
+        return c
+
+    nonzero = 0
+    for n in (3, 3, 4, 4, 5, 5, 5):
+        for _ in range(4):
+            m = [[entry() if rng.random() < 0.7 else field.zero
+                  for _ in range(n)] for _ in range(n)]
+            # only the last row may pivot the first column, and a zero on
+            # the diagonal's next entry makes a later step search as well
+            for i in range(n - 1):
+                m[i][0] = field.zero
+            m[n - 1][0] = entry()
+            m[1][1] = field.zero
+            det = determinant(field, m)
+            assert det == _leibniz(field, m), m
+            nonzero += not field.is_zero(det)
+    assert nonzero >= 14
 
 
 def test_axpy_drops_cancelled_keys_and_keeps_insertion_order():

@@ -2,9 +2,12 @@
 cancellation at either end of a Laurent polynomial, integer-denominator
 gcds, mixed Laurent/general operands and hashing of equal values."""
 
+import subprocess
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +190,24 @@ def test_small_digits_force_the_tuple_fallback():
         for _ in range(30):                 # each sum adds one to the bound
             total = total + y
         assert _packed(total) and total == rf((30, 30))
+
+
+def test_a_failing_property_is_a_test_failure(tmp_path):
+    """Under the repo's pytest config (warnings are errors), a failing @given
+    test reports `1 failed`: hypothesis' failure path imports libcst, whose
+    mypy_extensions DeprecationWarning must not end the session in
+    INTERNALERROR."""
+    (tmp_path / "test_prop.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None, derandomize=True)\n"
+        "@given(st.integers())\n"
+        "def test_small(n):\n"
+        "    assert n < 10\n")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(config), "--rootdir", str(tmp_path), "test_prop.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1, out
+    assert "INTERNALERROR" not in out and "1 failed" in out, out

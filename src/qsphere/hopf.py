@@ -8,24 +8,29 @@ canonical forms.  leg_product is the one leg-wise product of Sweedler
 tensors: word coproducts and Tensor products (and through them the actions
 on the BxA cochain carrier) multiply through it; contract_left is the one
 contraction f(x_(1)) x_(2), read by sigma, its inverse, beta and
-convolution.  A word's coproduct is
-split at its last run of equal letters, Delta(u) * Delta(g^k), so the
-preset's _cop_cache holds runs and run-split prefixes rather than every
-prefix.  The left coaction (pi (x) id) o Delta is an algebra map too: it is
-built from pi of the generators' Sweedler terms and cached per word in
-ctx._coact_cache, and left_coaction and duality.beta_projection read it
-without building a full coproduct.  The sphere carries no intrinsic
-coproduct; its Sweedler legs are computed through the closed-form embedding
-into QSL2, and first legs land back in the sphere (the coideal property),
-which b_coproduct certifies on every call.
+convolution.  The symmetry psi of QSL2 swaps a with d and b with c; it is
+an involutive anti-algebra map and a coalgebra map, Delta o psi =
+(psi (x) psi) o Delta, and maps each normal word to one word times a
+power of q (_psi_word).  So a QSL2 word that begins with a takes its
+coproduct from the cached coproduct of the d-word psi(w), one q-power
+product per term.  Every other word's coproduct is split at its last run
+of equal letters, Delta(u) * Delta(g^k), so the preset's _cop_cache holds
+runs and run-split prefixes rather than every prefix.  The left coaction
+(pi (x) id) o Delta is an algebra map too: it is built from pi of the
+generators' Sweedler terms and cached per word in ctx._coact_cache, and
+left_coaction and duality.beta_projection read it without building a full
+coproduct.  The sphere carries no intrinsic coproduct; its Sweedler legs
+are computed through the closed-form embedding into QSL2, and first legs
+land back in the sphere (the coideal property), which b_coproduct
+certifies on every call.
 """
 
 from __future__ import annotations
 
 from .linalg import axpy
 from .ncalg import (LAURENT, PODLES, QSL2, SMASH_Z2, NCPoly, _embed_word,
-                    _express_word, embed_podles, express_in_podles,
-                    laurent_exp, laurent_word, qsl2_index, qsl2_word)
+                    embed_podles, express_in_podles, laurent_exp,
+                    laurent_word, qsl2_index, qsl2_word)
 
 
 class Tensor:
@@ -212,15 +217,38 @@ def _cop_word(alg, w):
     return alg._cop_cache[w]
 
 
+def _psi_word(ctx, w):
+    """psi on a normal QSL2 word as (image word, e), psi(w) = q^e * image:
+    psi(f_{l,m,n}) = q^(l(m+n)) f_{-l,n,m}, the image word taken from
+    ctx._word_cache."""
+    l, m, n = qsl2_index(w)
+    return ctx._word_cache[-l, n, m], l * (m + n)
+
+
 def _cop_word_of(alg, w):
-    # Delta(w) = Delta(u) * Delta(g^k), with g^k the last run of equal
-    # letters of w: the leg_product of two cached coproducts (for a PBW word
-    # a^l b^m c^n that is Delta(a^l b^m) * Delta(c^n)).  A single run g^k
-    # takes one letter at a time, Delta(g^(k-1)) * Delta(g), so the cache
-    # holds the runs and the run-split prefixes, not every prefix
+    # a QSL2 word that begins with a is q^e psi(dw) for the d-word dw with
+    # psi(w) = q^e dw, and psi is a coalgebra map, so Delta(w) is q^e times
+    # (psi (x) psi) of the cached Delta(dw): one q-power product per term
+    # and no recursion, since dw begins with d.  Any other word is split
+    # at its last run of equal letters, Delta(w) = Delta(u) * Delta(g^k):
+    # the leg_product of two cached coproducts (for a PBW word d^l b^m c^n
+    # that is Delta(d^l b^m) * Delta(c^n)).  A single run g^k takes one
+    # letter at a time, Delta(g^(k-1)) * Delta(g), so the cache holds the
+    # runs and the run-split prefixes, not every prefix
     one = alg.field.one
     if not w:
         return {((), ()): one}
+    if alg.id == QSL2 and w[0] == 0:
+        ctx = alg.ctx
+        dw, e = _psi_word(ctx, w)
+        q_scale = ctx.q_scale
+        out = {}
+        # psi is injective on words, so no two terms collide
+        for (lw, rw), c in _cop_word(alg, dw).items():
+            pl, el = _psi_word(ctx, lw)
+            pr, er = _psi_word(ctx, rw)
+            out[pl, pr] = q_scale(c, e + el + er)
+        return out
     k = len(w) - 1    # w[k:] is the last run
     while k and w[k - 1] == w[-1]:
         k -= 1
@@ -244,11 +272,13 @@ def b_coproduct_word(B, w):
 
 def _b_coproduct_word_of(B, w):
     aw, e = _embed_word(w)
-    q_scale = B.ctx.q_scale
+    ctx = B.ctx
+    q_scale, express = ctx.q_scale, ctx._express_cache
     out = {}
-    for (lw, rw), c in _cop_word(B.ctx.A, aw).items():
-        # _express_word is injective, so no two terms collide
-        bw, e1 = _express_word(lw)
+    for (lw, rw), c in _cop_word(ctx.A, aw).items():
+        # _express_word is injective, so no two terms collide; a first leg
+        # of nonzero weight raises here and is not stored in the memo
+        bw, e1 = express[lw]
         out[(bw, rw)] = q_scale(c, e + e1)
     return out
 

@@ -226,9 +226,15 @@ class NCPoly:
         if not isinstance(k, int) or k < 0:
             raise ValueError(
                 f"exponent must be a nonnegative integer, got {k!r}")
-        out = self.alg.one()
-        for _ in range(k):
-            out = out * self
+        # repeated squaring: k sequential products made a^k quadratic in
+        # time and memory, and stored k product-memo entries
+        out, base = self.alg.one(), self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -292,6 +298,12 @@ class Context:
       preset._mul_cache    (w1, w2) -> w1*w2: _qsl2_product or rewriting
       preset._cop_cache    word -> its coproduct: hopf._cop_word_of
       preset._basis_cache  N -> filtration basis: _filtration_words
+      ctx._word_cache      (l, m, n) -> the QSL2 word f_{lmn}: qsl2_word,
+                           read by _qsl2_product and hopf._psi_word, so
+                           equal product and psi words are one tuple
+      ctx._express_cache   QSL2 word -> (sphere word, e): _express_word,
+                           read by hopf._b_coproduct_word_of; a word of
+                           nonzero weight raises and is not stored
       ctx._bcop_cache      sphere word -> hopf._b_coproduct_word_of
       ctx._coact_cache     QSL2 word -> its left coaction: hopf._coact_word_of
       ctx._ad_cache        sphere word -> w_(1) (x) S(w_(2)): hopf._ad_terms_of
@@ -346,6 +358,8 @@ class Context:
             (1, 0): [(field.from_int(-1), (0, 1))],
         }, (0, 1))
         self.presets = {a.id: a for a in (self.A, self.B, self.C, self.Z2)}
+        self._word_cache = Memo(lambda lmn: qsl2_word(*lmn))
+        self._express_cache = Memo(_express_word)
         self._bcop_cache = Memo(partial(_b_coproduct_word_of, self.B))
         self._coact_cache = Memo(partial(_coact_word_of, self))
         self._ad_cache = Memo(partial(_ad_terms_of, self.B))
@@ -483,10 +497,8 @@ def podles_word(i, j):
 
 def podles_index(word):
     """(i, j) for a normal sphere word."""
-    i = sum(1 for g in word if g == 0)
-    j1 = sum(1 for g in word if g == 1)
-    jm = sum(1 for g in word if g == 2)
-    return i, j1 - jm
+    count = word.count
+    return count(0), count(1) - count(2)
 
 
 def qsl2_word(l, m, n):
@@ -499,10 +511,8 @@ def qsl2_word(l, m, n):
 
 def qsl2_index(word):
     """(l, m, n) for a normal QSL2 word."""
-    counts = [0, 0, 0, 0]
-    for g in word:
-        counts[g] += 1
-    return counts[0] - counts[1], counts[2], counts[3]
+    count = word.count
+    return count(0) - count(1), count(2), count(3)
 
 
 def _qsl2_product(ctx, words):
@@ -520,15 +530,16 @@ def _qsl2_product(ctx, words):
     with [k r] the Gaussian binomial in q^2.  The leftover power a^l or d^-l
     (l = l1 + l2) sits right of (bc)^r when |l2| > |l1|, and (bc)^r passes
     it at q^(-2rl).  Terms come in descending r, the order reduce_terms
-    produces.
+    produces.  The product words come from ctx._word_cache, so equal words
+    are one tuple object.
     """
     l1, m1, n1 = qsl2_index(words[0])
     l2, m2, n2 = qsl2_index(words[1])
     l, m, n = l1 + l2, m1 + m2, n1 + n2
     e = -l2 * (m1 + n1)
-    qp = ctx.q_power
+    qp, word = ctx.q_power, ctx._word_cache
     if l1 * l2 >= 0:
-        return {qsl2_word(l, m, n): qp[e]}
+        return {word[l, m, n]: qp[e]}
     k = min(abs(l1), abs(l2))
     row = ctx.gauss_row[k]
     one = ctx.field.one
@@ -541,7 +552,7 @@ def _qsl2_product(ctx, words):
         # an unmultiplied one keeps its identity for leg_product's skips:
         # multiplying it raised sigma-q's peak RSS 27.72 -> 28.56 MB in 12
         # of 12 alternating pairs, CPU 1.029 (slower in 9)
-        out[qsl2_word(l, m + r, n + r)] = (
+        out[word[l, m + r, n + r]] = (
             c if g is one else g if c is one else c * g)
     return out
 

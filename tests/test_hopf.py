@@ -8,11 +8,12 @@ from qsphere.hopf import (Tensor, antipode, b_coproduct, b_coproduct_grouped,
                           b_coproduct_word, coideal_membership,
                           contract_left, coproduct, counit, left_coaction,
                           project_pi, rho, rho_check, _COP_GEN, _coact_word,
-                          _cop_word)
+                          _cop_word, _psi_word)
 from qsphere.linalg import Echelon
 from qsphere.ncalg import (LAURENT, PODLES, QSL2, SMASH_Z2, Context, NCPoly,
                            embed_podles, express_in_podles, filtration_basis,
-                           get_algebra, podles_index, qsl2_word, _embed_word)
+                           get_algebra, podles_index, podles_word, qsl2_word,
+                           _embed_word)
 from qsphere.scalars import ONE, Q, SYMBOLIC, ZERO, NumericField
 
 A = get_algebra(QSL2)
@@ -57,26 +58,96 @@ def _cop_word_by_tensors(alg, w):
     return out.terms
 
 
+def _psi_terms(ctx, terms, e=0):
+    """q^e (psi (x) psi) of Sweedler terms {(left word, right word): c}."""
+    out = {}
+    for (lw, rw), c in terms.items():
+        pl, el = _psi_word(ctx, lw)
+        pr, er = _psi_word(ctx, rw)
+        out[pl, pr] = ctx.q_scale(c, e + el + er)
+    return out
+
+
+def _psi(p):
+    """psi applied to a QSL2 element, one signed word per term."""
+    return NCPoly(p.alg, {k[0]: c for k, c in _psi_terms(
+        p.alg.ctx, {(w, ()): c for w, c in p.terms.items()}).items()})
+
+
+def _assert_cop_word_pinned(alg, w):
+    """_cop_word(alg, w) has the values of the letter-by-letter product.
+    Its dict order is that product's on every word the run split builds;
+    a QSL2 word that begins with a takes psi (x) psi of its d-word's
+    pinned coproduct, in that order."""
+    got = _cop_word(alg, w)
+    want = _cop_word_by_tensors(alg, w)
+    assert got == want, (alg.id, w)
+    if alg.id == QSL2 and w[:1] == (0,):
+        dw, e = _psi_word(alg.ctx, w)
+        assert dw[:1] == (1,), w
+        want = _psi_terms(alg.ctx, _cop_word_by_tensors(alg, dw), e)
+    assert list(got.items()) == list(want.items()), (alg.id, w)
+
+
 @FIELDS
 def test_cop_word_matches_tensor_products(field):
-    # same values and the same dict order on every basis word up to length 6
+    # same values on every basis word up to length 6, and the dict order
+    # of the route that built it
     for alg_id in (QSL2, LAURENT, SMASH_Z2):
         alg = get_algebra(alg_id, field)
         for m in filtration_basis(alg, 6):
-            want = _cop_word_by_tensors(alg, m)
-            assert list(_cop_word(alg, m).items()) == list(want.items()), \
-                (alg_id, m)
+            _assert_cop_word_pinned(alg, m)
 
 
 def test_cop_word_matches_tensor_products_on_sigma_inverse_words():
     # the long words sigma-inverse takes coproducts of: the embeddings of the
-    # sphere words with i + |j| <= 8, split at their letter runs
+    # sphere words with i + |j| <= 8, d-words split at their letter runs and
+    # a-words read from them through psi
     field = NumericField(Fraction(3, 2))
     A3, B3 = get_algebra(QSL2, field), get_algebra(PODLES, field)
     for m in filtration_basis(B3, 8):
-        w = _embed_word(m)[0]
-        want = _cop_word_by_tensors(A3, w)
-        assert list(_cop_word(A3, w).items()) == list(want.items()), w
+        _assert_cop_word_pinned(A3, _embed_word(m)[0])
+
+
+@FIELDS
+def test_psi_is_an_involutive_anti_algebra_coalgebra_map(field):
+    # psi swaps a with d and b with c, psi(f_{l,m,n}) = q^(l(m+n))
+    # f_{-l,n,m}; _cop_word builds the coproduct of an a-word from its
+    # d-word on these three properties
+    A_ = get_algebra(QSL2, field)
+    ctx, one = A_.ctx, A_.field.one
+    for w in filtration_basis(A_, 6):
+        assert _psi(_psi(mono(A_, w))) == mono(A_, w), w
+    words = filtration_basis(A_, 3)
+    for x in words:
+        for y in words:
+            assert (_psi(mono(A_, x) * mono(A_, y))
+                    == _psi(mono(A_, y)) * _psi(mono(A_, x))), (x, y)
+    for g in range(4):
+        pw, e = _psi_word(ctx, (g,))
+        assert len(pw) == 1 and e == 0
+        want = dict.fromkeys(_COP_GEN[QSL2][pw[0]], one)
+        assert _psi_terms(ctx, dict.fromkeys(_COP_GEN[QSL2][g], one)) == want
+    for w in filtration_basis(A_, 7):
+        assert _cop_word(A_, w) == _cop_word_by_tensors(A_, w), w
+
+
+def test_express_memo_keeps_the_coideal_certificate():
+    # a first leg of nonzero weight still raises through the express memo,
+    # and the failing word is not stored; a context of its own keeps the
+    # shared caches clean
+    ctx = Context(NumericField(Fraction(5, 3)))
+    w = podles_word(1, 1)
+    aw = _embed_word(w)[0]
+    bad = qsl2_word(1, 0, 0)
+    cop = dict(_cop_word(ctx.A, aw))
+    cop[bad, aw] = ctx.field.one
+    ctx.A._cop_cache[aw] = cop
+    for _ in range(2):
+        with pytest.raises(ValueError, match="weight 1"):
+            b_coproduct_word(ctx.B, w)
+        assert bad not in ctx._express_cache and w not in ctx._bcop_cache
+    assert ctx._express_cache
 
 
 def _coaction_mismatches(A_, N):

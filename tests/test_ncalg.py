@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from qsphere.ncalg import (LAURENT, PODLES, QSL2, SMASH_Z2, Memo, NCPoly,
-                           embed_podles, express_in_podles, filtration_basis,
-                           get_algebra, grade_decompose, multiply,
+from qsphere.ncalg import (LAURENT, PODLES, QSL2, SMASH_Z2, Context, Memo,
+                           NCPoly, embed_podles, express_in_podles,
+                           filtration_basis, get_algebra, grade_decompose,
+                           multiply,
                            normal_form, parse_expr, podles_degree,
                            podles_word, qsl2_degree, qsl2_index,
                            qsl2_weight, qsl2_word)
@@ -88,6 +90,33 @@ def test_pow_rejects_negative_and_non_integer_exponents():
             A.gen("a") ** k
     assert A.gen("a") ** 0 == A.one()
     assert A.gen("a") ** 2 == A.monomial(qsl2_word(2, 0, 0))
+
+
+@pytest.mark.parametrize("field", [SYMBOLIC, NumericField(Fraction(3, 2))],
+                         ids=["symbolic", "q=3/2"])
+def test_pow_by_squaring_equals_the_sequential_power(field):
+    rng = random.Random(5)
+    for alg_id in (QSL2, PODLES, LAURENT, SMASH_Z2):
+        alg = get_algebra(alg_id, field)
+        words = filtration_basis(alg, 2)
+        for _ in range(3):
+            p = alg.poly({
+                rng.choice(words): field.from_int(rng.randint(1, 3)),
+                rng.choice(words): field.q_power(rng.randint(-2, 2))})
+            seq = alg.one()
+            for k in range(6):
+                assert p ** k == seq, (alg_id, k, p.render())
+                seq = seq * p
+
+
+def test_parsing_a_large_power_adds_few_product_entries():
+    # repeated squaring: a^20000 is 14 squarings and 6 products, where k
+    # sequential products stored k entries of growing words
+    A_ = Context(NumericField(Fraction(7, 5))).A
+    before = len(A_._mul_cache)
+    p = parse_expr("a^20000", A_)
+    assert p == A_.monomial(qsl2_word(20000, 0, 0))
+    assert len(A_._mul_cache) - before <= 32
 
 
 def test_grade_decompose_examples():

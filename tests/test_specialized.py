@@ -118,7 +118,12 @@ def test_symbolic_and_numeric_contexts_share_no_cache_entry():
         memos[field] = {(name, attr): m for name, owner in owners
                         for attr, m in vars(owner).items()
                         if isinstance(m, Memo)}
-        assert len(memos[field]) == 4 * 3 + 7
+        assert len(memos[field]) == 4 * 3 + 9
+        # the two Memos that hold words: (l, m, n) -> QSL2 word and QSL2
+        # word -> (sphere word, q-exponent)
+        for attr in ("_word_cache", "_express_cache"):
+            memo = memos[field]["ctx", attr]
+            assert all(type(v) is tuple for v in memo.values())
         for key, memo in memos[field].items():
             assert memo or key == (PODLES, "_cop_cache")
             for value in memo.values():
@@ -135,6 +140,6 @@ def _scalars(value):
         return list(value.values())
     if isinstance(value, list):
         return value
-    if isinstance(value, tuple):    # a filtration basis holds only words
-        return []
+    if isinstance(value, tuple):    # a filtration basis, a word or an
+        return []                   # expressed word holds no scalar
     return [value]

@@ -69,9 +69,12 @@ def _psi_terms(ctx, terms, e=0):
 
 
 def _psi(p):
-    """psi applied to a QSL2 element, one signed word per term."""
-    return NCPoly(p.alg, {k[0]: c for k, c in _psi_terms(
-        p.alg.ctx, {(w, ()): c for w, c in p.terms.items()}).items()})
+    """psi applied to a QSL2 element, one word per term."""
+    ctx, terms = p.alg.ctx, {}
+    for w, c in p.terms.items():
+        pw, e = _psi_word(ctx, w)
+        terms[pw] = ctx.q_scale(c, e)
+    return NCPoly(p.alg, terms)
 
 
 def _assert_cop_word_pinned(alg, w):

@@ -110,7 +110,7 @@ def test_pow_by_squaring_equals_the_sequential_power(field):
 
 
 def test_parsing_a_large_power_adds_few_product_entries():
-    # repeated squaring: a^20000 is 14 squarings and 6 products, where k
+    # repeated squaring: a^20000 is 14 squarings and 5 products, where k
     # sequential products stored k entries of growing words
     A_ = Context(NumericField(Fraction(7, 5))).A
     before = len(A_._mul_cache)

@@ -6,9 +6,12 @@ the coordinate ring, with the right action twisted by the (2m)-th antipode
 power (omega_membership and omega_basis take no m: the space does not
 depend on it).  The family composes: the product x * S^(2m)(y) of members
 of omega(n, m) and omega(i, j) lands in omega(n+i, m+j), and within a
-truncation the products span the target.  All claims here are checked at
-the element level against the honest coaction, never by index bookkeeping
-alone.  OmegaModule is omega(n, m) as the carrier
+truncation the products span the target.  The coaction is an algebra map
+sending each generator g to z^wt(g) (x) g, so a normal word w, the product
+of its letters, coacts as z^wt(w) (x) w, and omega(n, m) is spanned by the
+words of weight n.  Membership reads hopf.left_coaction, whose oracle is
+pi (x) id of the full coproduct (test_left_coaction_is_pi_of_the_coproduct
+in tests/test_hopf.py).  OmegaModule is omega(n, m) as the carrier
 hochschild.Bimodule("A_twist", twist=m), its actions checked for weight.
 
 Functional is the one type for the counit, the characters of both
@@ -19,7 +22,7 @@ what hochschild.character_action takes.
 from __future__ import annotations
 
 from .hopf import (Tensor, antipode, b_coproduct_word, contract_left, counit,
-                   _coact_word, _cop_word, left_coaction)
+                   _cop_word, left_coaction)
 from .hochschild import (Bimodule, sigma_map, validate_character_b,
                          weight_basis_words)
 from .linalg import Echelon
@@ -45,8 +48,8 @@ def omega_membership(x, n):
 
 def omega_basis(n, N, field=SYMBOLIC):
     """The normal words of the basis monomials f_{l,m',n'} with
-    l + m' - n' = n of length <= N, as a sorted list, each certified by the
-    honest membership check: a basis of omega(n, m) for every twist m."""
+    l + m' - n' = n of length <= N, as a sorted list, each certified by
+    omega_membership: a basis of omega(n, m) for every twist m."""
     if N < 0:
         raise ValueError("N must be >= 0")
     A = get_algebra(QSL2, field)
@@ -243,15 +246,12 @@ def beta_projection(x):
     returned in the sphere basis.
 
     beta is (h (x) id) applied to the left coaction (pi (x) id) o Delta,
-    which is computed as an algebra map from the generators, so no full
-    coproduct is built."""
+    so it keeps the terms whose Laurent leg is 1, h(z^k) = delta_k0: the
+    weight-0 part of x."""
     if x.alg.id != QSL2:
         raise ValueError("beta_projection expects a QSL2 element")
-    A = x.alg
-    zero, one = A.field.zero, A.field.one
-    return express_in_podles(NCPoly(A, contract_left(
-        x.terms, lambda w: _coact_word(A, w),
-        lambda zw: zero if zw else one, A.field)))    # h(z^k) = delta_k0
+    return express_in_podles(NCPoly(x.alg, {
+        w: c for (zw, w), c in left_coaction(x).terms.items() if not zw}))
 
 
 def gamma_functional(x, chi=None):

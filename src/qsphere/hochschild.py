@@ -274,8 +274,8 @@ def xi(phi, inverse=False):
 
 # torus weights, X_t.w = t^wt(w) w: -2j on y0^i y+-1^j (j signed) and
 # l - m + n on a^l b^m c^n (l = -k for d^k)
-_sphere_weight = Grading("sphere-torus-weight", (0, -2, 2)).of_word
-_qsl2_weight = Grading("qsl2-torus-weight", (1, -1, -1, 1)).of_word
+_sphere_torus_weight = Grading("sphere-torus-weight", (0, -2, 2)).of_word
+_qsl2_torus_weight = Grading("qsl2-torus-weight", (1, -1, -1, 1)).of_word
 
 
 class CharacterFunctional:
@@ -297,11 +297,11 @@ class CharacterFunctional:
 
     def act_sphere_word(self, w):
         """X.m = t^wt(m) m for a sphere basis word, as {word: coeff}."""
-        return {w: self.on_word(qsl2_word(_sphere_weight(w), 0, 0))}
+        return {w: self.on_word(qsl2_word(_sphere_torus_weight(w), 0, 0))}
 
     def act_qsl2_word(self, w):
         """X.a = t^wt(a) a for a QSL2 basis word, as {word: coeff}."""
-        return {w: self.on_word(qsl2_word(_qsl2_weight(w), 0, 0))}
+        return {w: self.on_word(qsl2_word(_qsl2_torus_weight(w), 0, 0))}
 
 
 def character_action(X, phi):
@@ -320,9 +320,9 @@ def character_action(X, phi):
     X = CharacterFunctional(X)
 
     def fn(ws):
-        shift = sum(map(_sphere_weight, ws))    # S(X).b = t^-wt(b) b
+        shift = sum(map(_sphere_torus_weight, ws))    # S(X).b = t^-wt(b) b
         return Tensor(M.B, M.A, {(lw, rw): c * X.on_word(qsl2_word(
-            _sphere_weight(lw) + _qsl2_weight(rw) - shift, 0, 0))
+            _sphere_torus_weight(lw) + _qsl2_torus_weight(rw) - shift, 0, 0))
             for (lw, rw), c in phi.eval_words(ws).terms.items()})
 
     return LazyCochain(phi.degree, M, fn)

@@ -7,22 +7,20 @@ expanded over pairs of normal words, so identities are decided by comparing
 canonical forms.  leg_product is the one leg-wise product of Sweedler
 tensors: word coproducts and Tensor products (and through them the actions
 on the BxA cochain carrier) multiply through it; contract_left is the one
-contraction f(x_(1)) x_(2), read by sigma, its inverse, beta and
-convolution.  The symmetry psi of QSL2 swaps a with d and b with c; it is
-an involutive anti-algebra map and a coalgebra map, Delta o psi =
-(psi (x) psi) o Delta, and maps each normal word to one word times a
-power of q (_psi_word).  So a QSL2 word that begins with a takes its
-coproduct from the cached coproduct of the d-word psi(w), one q-power
-product per term.  Every other word's coproduct is split at its last run
-of equal letters, Delta(u) * Delta(g^k), so the preset's _cop_cache holds
-runs and run-split prefixes rather than every prefix.  The left coaction
-(pi (x) id) o Delta is an algebra map too: it is built from pi of the
-generators' Sweedler terms and cached per word in ctx._coact_cache, and
-left_coaction and duality.beta_projection read it without building a full
-coproduct.  The sphere carries no intrinsic coproduct; its Sweedler legs
-are computed through the closed-form embedding into QSL2, and first legs
-land back in the sphere (the coideal property), which b_coproduct
-certifies on every call.
+contraction f(x_(1)) x_(2), read by sigma, its inverse and convolution.
+The symmetry psi of QSL2 swaps a with d and b with c; it is an involutive
+anti-algebra map and a coalgebra map, Delta o psi = (psi (x) psi) o Delta,
+and maps each normal word to one word times a power of q (_psi_word).  So
+a QSL2 word that begins with a takes its coproduct from the cached
+coproduct of the d-word psi(w), one q-power product per term.  Every other
+word's coproduct is split at its last run of equal letters,
+Delta(u) * Delta(g^k), so the preset's _cop_cache holds runs and run-split
+prefixes rather than every prefix.  The left coaction (pi (x) id) o Delta
+is the coaction-weight grading, z^wt(w) (x) w on a normal word w, and
+left_coaction builds no coproduct.  The sphere carries no intrinsic
+coproduct; its Sweedler legs are computed through the closed-form
+embedding into QSL2, and first legs land back in the sphere (the coideal
+property), which b_coproduct certifies on every call.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from __future__ import annotations
 from .linalg import axpy
 from .ncalg import (LAURENT, PODLES, QSL2, SMASH_Z2, NCPoly, _embed_word,
                     embed_podles, express_in_podles, laurent_exp,
-                    laurent_word, qsl2_index, qsl2_word)
+                    laurent_word, qsl2_index, qsl2_weight, qsl2_word)
 
 
 class Tensor:
@@ -430,40 +428,22 @@ def project_pi(p):
                                 if (zw := _pi_word(w)) is not None})
 
 
-# (pi (x) id) o Delta on the generators: _COP_GEN's Sweedler terms of QSL2
-# with pi applied to the first leg, as (Laurent word, QSL2 word) pairs
-_COACT_GEN = {g: [(_pi_word(lw), rw) for lw, rw in terms
-                  if _pi_word(lw) is not None]
-              for g, terms in _COP_GEN[QSL2].items()}
-
-
-def _coact_word(A, w):
-    """(pi (x) id) o Delta(w) of a normal QSL2 word as a dict
-    {(Laurent word, QSL2 word): coeff} (cached on the context)."""
-    return A.ctx._coact_cache[w]
-
-
-def _coact_word_of(ctx, w):
-    # (pi (x) id) o Delta is an algebra map, so the coaction of w is the
-    # leg_product of the cached coaction of w[:-1] with the pi image of the
-    # last generator's Sweedler terms; no full coproduct is built
-    one = ctx.field.one
-    if not w:
-        return {((), ()): one}
-    gen = dict.fromkeys(_COACT_GEN[w[-1]], one)
-    return leg_product(_coact_word(ctx.A, w[:-1]), gen, ctx.C.mul_words,
-                       ctx.A.mul_words, ctx.field)
+_coact_weight = qsl2_weight().of_word
 
 
 def left_coaction(p):
     """(pi (x) id) o Delta, a Tensor with legs LAURENT (x) QSL2.
 
-    Computed as an algebra map from the generators (_coact_word), not
-    through the full coproduct, which stays the independent route.
+    It is an algebra map sending each generator g to z^wt(g) (x) g with
+    coefficient one, so on a normal word w, the product of its letters, it
+    is z^wt(w) (x) w, wt(f_{l,m,n}) = l + m - n; the full coproduct stays
+    the tests' independent route.
     """
     if p.alg.id != QSL2:
         raise ValueError("left_coaction expects a QSL2 element")
-    return _extend(p, p.alg.ctx.C, p.alg, lambda w: _coact_word(p.alg, w))
+    return Tensor(p.alg.ctx.C, p.alg,
+                  {(laurent_word(_coact_weight(w)), w): c
+                   for w, c in p.terms.items()})
 
 
 def coideal_membership(p):

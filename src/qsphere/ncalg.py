@@ -305,7 +305,6 @@ class Context:
                            read by hopf._b_coproduct_word_of; a word of
                            nonzero weight raises and is not stored
       ctx._bcop_cache      sphere word -> hopf._b_coproduct_word_of
-      ctx._coact_cache     QSL2 word -> its left coaction: hopf._coact_word_of
       ctx._ad_cache        sphere word -> w_(1) (x) S(w_(2)): hopf._ad_terms_of
       ctx._nu_cache        L -> echelon of B*z-1 in F_L, extending level
                            L-1's rows: koszul._nu_echelon_of
@@ -324,7 +323,7 @@ class Context:
     """
 
     def __init__(self, field):
-        from .hopf import _ad_terms_of, _b_coproduct_word_of, _coact_word_of
+        from .hopf import _ad_terms_of, _b_coproduct_word_of
         from .koszul import _nu_echelon_of, _nu_oracle_of
         self.field = field
         one = field.one
@@ -361,7 +360,6 @@ class Context:
         self._word_cache = Memo(lambda lmn: qsl2_word(*lmn))
         self._express_cache = Memo(_express_word)
         self._bcop_cache = Memo(partial(_b_coproduct_word_of, self.B))
-        self._coact_cache = Memo(partial(_coact_word_of, self))
         self._ad_cache = Memo(partial(_ad_terms_of, self.B))
         self._nu_cache = Memo(partial(_nu_echelon_of, self.B))
         self._nu_oracle_cache = Memo(partial(_nu_oracle_of, self.B))

@@ -7,13 +7,13 @@ from qsphere import hopf
 from qsphere.hopf import (Tensor, antipode, b_coproduct, b_coproduct_grouped,
                           b_coproduct_word, coideal_membership,
                           contract_left, coproduct, counit, left_coaction,
-                          project_pi, rho, rho_check, _COP_GEN, _coact_word,
-                          _cop_word, _psi_word)
+                          project_pi, rho, rho_check, _COP_GEN, _cop_word,
+                          _psi_word)
 from qsphere.linalg import Echelon
-from qsphere.ncalg import (LAURENT, PODLES, QSL2, SMASH_Z2, Context, NCPoly,
-                           embed_podles, express_in_podles, filtration_basis,
-                           get_algebra, podles_index, podles_word, qsl2_word,
-                           _embed_word)
+from qsphere.ncalg import (LAURENT, PODLES, QSL2, SMASH_Z2, Context, Grading,
+                           NCPoly, embed_podles, express_in_podles,
+                           filtration_basis, get_algebra, podles_index,
+                           podles_word, qsl2_word, _embed_word)
 from qsphere.scalars import ONE, Q, SYMBOLIC, ZERO, NumericField
 
 A = get_algebra(QSL2)
@@ -176,9 +176,8 @@ def test_left_coaction_is_pi_of_the_coproduct(field):
 def test_coaction_oracle_catches_a_wrong_generator_image(monkeypatch):
     # b coacting by z^-1 instead of z; a context of its own keeps the
     # shared caches clean
-    mutant = dict(hopf._COACT_GEN)
-    mutant[2] = [((1,), (2,))]
-    monkeypatch.setattr(hopf, "_COACT_GEN", mutant)
+    mutant = Grading("b-weighted-minus-one", (1, -1, -1, -1)).of_word
+    monkeypatch.setattr(hopf, "_coact_weight", mutant)
     bad = _coaction_mismatches(Context(NumericField(Fraction(5, 3))).A, 2)
     assert (2,) in bad and (0, 3) not in bad
 
@@ -197,7 +196,6 @@ def test_one_valued_coefficients_are_the_fields_one(field):
     coeffs = []
     for g in range(4):
         coeffs += _cop_word(A_, (g,)).values()
-        coeffs += _coact_word(A_, (g,)).values()
     words = filtration_basis(A_, 3)
     for w1 in words:
         for w2 in words:
@@ -233,15 +231,13 @@ def _contract_oracle(t, f, field):
 
 
 @FIELDS
-@pytest.mark.parametrize("route", ["coproduct", "b_coproduct",
-                                   "left_coaction"])
+@pytest.mark.parametrize("route", ["coproduct", "b_coproduct"])
 def test_contract_left_matches_the_contracted_tensor(field, route):
     Af = get_algebra(QSL2, field)
     Bf = Af.ctx.B
     alg, legs, tensor = {
         "coproduct": (Af, lambda w: _cop_word(Af, w), coproduct),
         "b_coproduct": (Bf, lambda w: b_coproduct_word(Bf, w), b_coproduct),
-        "left_coaction": (Af, lambda w: _coact_word(Af, w), left_coaction),
     }[route]
 
     def f(w):    # -1, 0 or 1, so the zero skip is exercised

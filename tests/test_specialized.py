@@ -1,5 +1,6 @@
 """The exact-rational fast mode must agree with the symbolic mode."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from qsphere.hochschild import Bimodule
 from qsphere.hopf import Tensor, _cop_word, b_coproduct_word, left_coaction
 from qsphere.koszul import ext_counit_module, nu_reduce, nu_reduce_oracle
 from qsphere.linalg import Echelon
-from qsphere.ncalg import (PODLES, QSL2, Memo, filtration_basis,
+from qsphere.ncalg import (PODLES, QSL2, Context, Memo, filtration_basis,
                            get_algebra, parse_expr, podles_index,
                            podles_word)
 from qsphere.scalars import (NumericField, QValue, RationalFunction, SYMBOLIC,
@@ -118,7 +119,7 @@ def test_symbolic_and_numeric_contexts_share_no_cache_entry():
         memos[field] = {(name, attr): m for name, owner in owners
                         for attr, m in vars(owner).items()
                         if isinstance(m, Memo)}
-        assert len(memos[field]) == 4 * 3 + 9
+        assert len(memos[field]) == 4 * 3 + 8
         # the two Memos that hold words: (l, m, n) -> QSL2 word and QSL2
         # word -> (sphere word, q-exponent)
         for attr in ("_word_cache", "_express_cache"):
@@ -130,6 +131,23 @@ def test_symbolic_and_numeric_contexts_share_no_cache_entry():
                 assert all(type(c) is kind for c in _scalars(value))
     assert memos[SYMBOLIC].keys() == memos[NUM].keys()
     assert all(m is not memos[NUM][k] for k, m in memos[SYMBOLIC].items())
+
+
+def _memo_attrs(owner):
+    return {attr for attr, m in vars(owner).items() if isinstance(m, Memo)}
+
+
+@pytest.mark.parametrize("field", [SYMBOLIC, NUM], ids=["symbolic", "q=3/2"])
+def test_context_docstring_lists_each_memo_once(field):
+    # the Context docstring lists each cache with its function once, as
+    # ctx.<attr> or preset.<attr> at the start of a line
+    named = re.findall(r"^\s*(ctx|preset)\.(\w+)\s", Context.__doc__, re.M)
+    assert len(named) == len(set(named))
+    ctx = get_algebra(QSL2, field).ctx
+    assert _memo_attrs(ctx) == {attr for owner, attr in named if owner == "ctx"}
+    for alg in ctx.presets.values():
+        assert _memo_attrs(alg) == {attr for owner, attr in named
+                                    if owner == "preset"}
 
 
 def _scalars(value):
